@@ -20,13 +20,13 @@ lint:
 test:
 	$(GO) test ./...
 
-# Race everything, then give the schedule-sensitive code (fast-path
+# Race everything, then give the schedule-sensitive code (lockless epoch
 # reads vs rename/unlink storms, lock-free dir.Table readers, the
 # cancellation storms and mid-traversal aborts) extra -race rounds:
 # these are the tests whose schedules vary run to run.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 -run 'FastPath|LockFree|Cancel' ./internal/atomfs ./internal/dir ./internal/fuse
+	$(GO) test -race -count=2 -run 'FastPath|Epoch|LockFree|Cancel' ./internal/atomfs ./internal/dir ./internal/fuse
 
 # The full verification story: vet + ctxlint, the raced lock-free and
 # cancellation packages, then scenarios, sweeps, stress, explorer.
@@ -42,7 +42,7 @@ verify: build
 # violation under cmd/fsreplay. Then a clean-tree campaign must come up
 # empty.
 fuzz:
-	$(GO) run ./cmd/fuzz -bug fixedlp -fastpath off -budget 60s -expect-violation -repro FUZZ_repro.txt
+	$(GO) run ./cmd/fuzz -bug fixedlp -epoch off -budget 60s -expect-violation -repro FUZZ_repro.txt
 	$(GO) run ./cmd/fsreplay -repro FUZZ_repro.txt
 	$(GO) run ./cmd/fuzz -budget 30s -seed 7
 
@@ -70,7 +70,8 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Perf trajectory artifact: FastPath + Fig-10/Fig-11 matrix as JSON.
+# Perf trajectory artifact: FastPath + Fig-10/Fig-11 matrix as JSON
+# (plain lock coupling vs the served epoch + prefix-cache configuration).
 bench-json:
 	$(GO) run ./cmd/benchjson -o BENCH_fastpath.json
 
@@ -80,8 +81,8 @@ bench-writepath:
 	$(GO) run ./cmd/benchjson -suite writepath -o BENCH_writepath.json
 
 # Multicore scaling matrix (read-mostly 95/5 across GOMAXPROCS={1,4,16,32}
-# for atomfs / atomfs-fastpath / atomfs-epoch, plus the fig10 git-clone
-# guard cells): regenerate the committed baseline.
+# for atomfs / atomfs-epoch, plus the fig10 git-clone guard cells):
+# regenerate the committed baseline.
 bench-scale:
 	$(GO) run ./cmd/benchjson -suite scale -o BENCH_scale.json
 
@@ -143,12 +144,11 @@ bench-compare:
 
 # Scaling regression gate: a fresh scale run must stay within 15% of the
 # committed BENCH_scale.json, and the cross-cell fig10 guard must hold —
-# the fast-path variants may not lose to plain atomfs on git-clone by
-# more than the threshold, regardless of how all three drift.
+# the epoch read path may not lose to plain atomfs on git-clone by more
+# than the threshold, regardless of how both drift.
 bench-scale-compare:
 	$(GO) run ./cmd/benchjson -suite scale -o /tmp/BENCH_scale_current.json
 	$(GO) run ./cmd/benchdiff -base BENCH_scale.json -cur /tmp/BENCH_scale_current.json \
-		-pair "scale/git-clone/atomfs-fastpath<=scale/git-clone/atomfs" \
 		-pair "scale/git-clone/atomfs-epoch<=scale/git-clone/atomfs"
 
 # Shard regression gate. The simulator cells are deterministic (virtual

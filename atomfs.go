@@ -76,22 +76,18 @@ func WithMonitor(m *Monitor) Option { return atomfs.WithMonitor(m) }
 // WithBlocks sizes the ramdisk in 4 KiB blocks.
 func WithBlocks(n int) Option { return atomfs.WithBlocks(n) }
 
-// WithFastPath enables the lockless read fast path: Stat, Read, and
-// Readdir attempt a seqlock-validated no-lock traversal and fall back to
-// lock coupling on conflict (see DESIGN.md §7).
-func WithFastPath() Option { return atomfs.WithFastPath() }
-
 // WithPrefixCache enables the write-path prefix cache: mutations start
 // lock coupling at the deepest cached ancestor whose stamped detach
 // generations validate under its lock, falling back to the root walk on
 // any mismatch (see DESIGN.md §11).
 func WithPrefixCache() Option { return atomfs.WithPrefixCache() }
 
-// WithEpoch enables wait-free reads via epoch-based reclamation: Stat,
-// Read, and Readdir pin a reader epoch, walk with no locks and a single
-// terminal seqlock check (never spinning against writers), and unlinked
-// nodes are freed only after two grace periods (see DESIGN.md §12).
-// Implies the fast path.
+// WithEpoch enables the lockless read path: Stat, Read, and Readdir pin
+// a reader epoch, walk with no locks and a single terminal seqlock check
+// (never spinning against writers), and fall back to lock coupling on
+// conflict; unlinked nodes' blocks are freed only after two grace periods
+// (see DESIGN.md §12). With WithPrefixCache it is the served
+// configuration.
 func WithEpoch() Option { return atomfs.WithEpoch() }
 
 // WithJournal attaches a durable write-ahead operation journal: the

@@ -38,7 +38,7 @@ func systems() []struct {
 	}{
 		{"dfscq~slowfs", func() fsapi.FS { return slowfs.New(iatomfs.New()) }},
 		{"atomfs", func() fsapi.FS { return iatomfs.New() }},
-		{"atomfs-fastpath", func() fsapi.FS { return iatomfs.New(iatomfs.WithFastPath()) }},
+		{"atomfs-epoch-prefix", func() fsapi.FS { return iatomfs.New(iatomfs.WithEpoch(), iatomfs.WithPrefixCache()) }},
 		{"atomfs-biglock", func() fsapi.FS { return iatomfs.New(iatomfs.WithBigLock()) }},
 		{"tmpfs~memfs", func() fsapi.FS { return memfs.New() }},
 		{"ext4~retryfs", func() fsapi.FS { return retryfs.New() }},
@@ -101,7 +101,7 @@ func BenchmarkFig11Fileserver(b *testing.B) {
 		mk   func() fsapi.FS
 	}{
 		{"atomfs", func() fsapi.FS { return iatomfs.New() }},
-		{"atomfs-fastpath", func() fsapi.FS { return iatomfs.New(iatomfs.WithFastPath()) }},
+		{"atomfs-epoch-prefix", func() fsapi.FS { return iatomfs.New(iatomfs.WithEpoch(), iatomfs.WithPrefixCache()) }},
 		{"atomfs-biglock", func() fsapi.FS { return iatomfs.New(iatomfs.WithBigLock()) }},
 		{"ext4~retryfs", func() fsapi.FS { return retryfs.New() }},
 	} {
@@ -127,7 +127,7 @@ func BenchmarkFig11Webproxy(b *testing.B) {
 		mk   func() fsapi.FS
 	}{
 		{"atomfs", func() fsapi.FS { return iatomfs.New() }},
-		{"atomfs-fastpath", func() fsapi.FS { return iatomfs.New(iatomfs.WithFastPath()) }},
+		{"atomfs-epoch-prefix", func() fsapi.FS { return iatomfs.New(iatomfs.WithEpoch(), iatomfs.WithPrefixCache()) }},
 		{"atomfs-biglock", func() fsapi.FS { return iatomfs.New(iatomfs.WithBigLock()) }},
 		{"ext4~retryfs", func() fsapi.FS { return retryfs.New() }},
 	} {

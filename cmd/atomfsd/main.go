@@ -5,6 +5,11 @@
 // can optionally run under the CRL-H monitor, and reports violations the
 // moment they are detected as well as on shutdown.
 //
+// Every volume runs the served configuration: the lockless epoch read
+// path plus the write-path prefix cache (DESIGN.md §11, §12). The plain
+// coupled walk, biglock and unsafe variants remain library options, as
+// the paper's baselines.
+//
 // Usage:
 //
 //	atomfsd -addr 127.0.0.1:7433
@@ -75,9 +80,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7433", "TCP listen address")
 	unix := flag.String("unix", "", "listen on a unix socket path instead of TCP")
 	monitored := flag.Bool("monitor", false, "run under the CRL-H monitor")
-	fastpath := flag.Bool("fastpath", false, "enable the lockless read fast path (DESIGN.md s7)")
-	prefix := flag.Bool("prefix", false, "enable the write-path prefix cache (DESIGN.md s11)")
-	epochMode := flag.Bool("epoch", false, "enable wait-free reads via epoch-based reclamation (DESIGN.md s12, implies -fastpath)")
 	blocks := flag.Int("blocks", 1<<18, "ramdisk size in 4KiB blocks")
 	debug := flag.String("debug", "", "serve /metrics, /debug/vars, /debug/flightrec and /debug/pprof on this address (e.g. :6060)")
 	volumes := flag.String("volumes", "", "comma-separated mount points, each served by an independent volume (e.g. /v0,/v1)")
@@ -98,16 +100,7 @@ func main() {
 	// The daemon is always instrumented; -debug only controls whether the
 	// HTTP surface is exposed. SIGUSR1 dumps work either way.
 	reg := obs.NewRegistry()
-	opts := []atomfs.Option{atomfs.WithBlocks(*blocks), atomfs.WithObs(reg)}
-	if *fastpath {
-		opts = append(opts, atomfs.WithFastPath())
-	}
-	if *prefix {
-		opts = append(opts, atomfs.WithPrefixCache())
-	}
-	if *epochMode {
-		opts = append(opts, atomfs.WithEpoch())
-	}
+	opts := []atomfs.Option{atomfs.WithBlocks(*blocks), atomfs.WithObs(reg), atomfs.WithEpoch(), atomfs.WithPrefixCache()}
 	// Each volume gets its own monitor and watchdog: the CRL-H ghost
 	// state is per-volume, matching the per-volume lock hierarchies.
 	var mons []*core.Monitor

@@ -7,11 +7,12 @@
 // A repeatable -pair "A<=B" flag adds cross-cell guards evaluated
 // against the CURRENT report alone: cell A's ns/op must not exceed cell
 // B's by more than the threshold. This is how the fig10 fast-path
-// regression is pinned — the fast path must not lose to plain atomfs on
-// the same workload, regardless of how both drift against the baseline:
+// regression is pinned — the lockless read path must not lose to plain
+// atomfs on the same workload, regardless of how both drift against the
+// baseline:
 //
 //	benchdiff -base BENCH_scale.json -cur out.json \
-//	  -pair "scale/git-clone/atomfs-fastpath<=scale/git-clone/atomfs"
+//	  -pair "scale/git-clone/atomfs-epoch<=scale/git-clone/atomfs"
 //
 // The nightly CI job runs:
 //
@@ -35,7 +36,7 @@ import (
 // pairList collects repeatable -pair "A<=B" guards.
 type pairList []string
 
-func (p *pairList) String() string     { return strings.Join(*p, ",") }
+func (p *pairList) String() string { return strings.Join(*p, ",") }
 func (p *pairList) Set(v string) error {
 	if !strings.Contains(v, "<=") {
 		return fmt.Errorf("pair %q: want \"A<=B\"", v)

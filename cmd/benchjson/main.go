@@ -1,20 +1,20 @@
 // Command benchjson runs a performance-trajectory benchmark matrix
 // outside `go test` and writes the results as JSON (one record per
 // benchmark: name, ns/op, allocs/op, fast-path or prefix-cache counts,
-// and sampled latency quantiles from the obs registry). Two suites:
+// and sampled latency quantiles from the obs registry). The suites:
 //
 //   - fastpath (default): the FastPath family plus Fig-10/Fig-11-style
-//     workloads → BENCH_fastpath.json (`make bench-json`).
+//     workloads, plain lock coupling against the served configuration
+//     (lockless epoch reads plus the prefix cache) →
+//     BENCH_fastpath.json (`make bench-json`).
 //   - writepath: the WritePath family — deep-tree create/unlink/rename
 //     mixes, root lock-coupling vs. the prefix cache →
 //     BENCH_writepath.json (`make bench-writepath`). cmd/benchdiff
 //     compares a fresh run against the committed baseline in CI.
 //   - scale: the multicore scaling matrix — read-mostly-95-5 across a
-//     GOMAXPROCS={1,4,16,32} sweep for atomfs, atomfs-fastpath, and
-//     atomfs-epoch, plus the fig10 git-clone guard cells →
-//     BENCH_scale.json (`make bench-scale`). The epoch cells must show
-//     the seqlock spin storm gone (fastpath_seq_spins collapses to zero)
-//     with read latency no worse.
+//     GOMAXPROCS={1,4,16,32} sweep for atomfs and atomfs-epoch, plus
+//     the fig10 git-clone guard cells → BENCH_scale.json
+//     (`make bench-scale`).
 //   - shard: the sharded-namespace matrix (DESIGN.md §13) —
 //     virtual-time simulated mutation scaling across volume counts
 //     (the 4-volume cell must show at least 2x the 1-volume aggregate
@@ -41,6 +41,7 @@
 //	benchjson -suite scale        # write BENCH_scale.json
 //	benchjson -suite shard        # write BENCH_shard.json
 //	benchjson -suite wal          # write BENCH_wal.json
+//	benchjson -suite net          # write BENCH_net.json
 //	benchjson -o out.json         # write elsewhere
 //	benchjson -quick              # cheaper run (for smoke testing)
 package main
@@ -51,6 +52,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -84,10 +86,9 @@ type record struct {
 	PrefixInvals  *uint64  `json:"prefix_invalidations,omitempty"`
 	// The following come from the obs registry when the system under test
 	// carries one (the atomfs variants); absent otherwise.
-	FastHits    *uint64 `json:"fastpath_hits,omitempty"`
-	FastFalls   *uint64 `json:"fastpath_fallbacks,omitempty"`
-	FastRetries *uint64 `json:"fastpath_seq_spins,omitempty"`
-	FastVetoed  *uint64 `json:"fastpath_vetoed,omitempty"`
+	FastHits   *uint64 `json:"fastpath_hits,omitempty"`
+	FastFalls  *uint64 `json:"fastpath_fallbacks,omitempty"`
+	FastVetoed *uint64 `json:"fastpath_vetoed,omitempty"`
 	// Epoch-reclamation stats (scale suite, atomfs-epoch cells only).
 	EpochAdvances *uint64 `json:"epoch_advances,omitempty"`
 	EpochFreed    *uint64 `json:"epoch_freed,omitempty"`
@@ -124,9 +125,15 @@ type record struct {
 }
 
 type report struct {
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	GoArch     string   `json:"goarch"`
-	Results    []record `json:"results"`
+	// The host the file was measured on, so cmd/benchdiff readers can
+	// tell when a comparison crosses machines. Cells that sweep
+	// GOMAXPROCS name their width; the rest run at GOMAXPROCS = nproc.
+	Commit    string   `json:"commit"`
+	NProc     int      `json:"nproc"`
+	CPU       string   `json:"cpu"`
+	GoVersion string   `json:"go"`
+	GoArch    string   `json:"goarch"`
+	Results   []record `json:"results"`
 	// CancellationFooter accumulates the per-op-type
 	// atomfs_cancelled_total / atomfs_deadline_exceeded_total counters
 	// across every instrumented cell, keyed by the full metric name
@@ -154,7 +161,7 @@ func atomfsSys(extra ...atomfs.Option) sysUnderTest {
 func main() {
 	out := flag.String("o", "", "output file (default BENCH_<suite>.json)")
 	quick := flag.Bool("quick", false, "shorter runs (for smoke testing the tool)")
-	suite := flag.String("suite", "fastpath", "benchmark suite: fastpath or writepath")
+	suite := flag.String("suite", "fastpath", "benchmark suite: fastpath, writepath, scale, shard, wal or net")
 	flag.Parse()
 
 	var results []record
@@ -177,7 +184,10 @@ func main() {
 	}
 
 	rep := report{
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
+		Commit:             gitCommit(),
+		NProc:              runtime.NumCPU(),
+		CPU:                cpuModel(),
+		GoVersion:          runtime.Version(),
 		GoArch:             runtime.GOARCH,
 		Results:            results,
 		CancellationFooter: cancelFooter,
@@ -198,13 +208,37 @@ func main() {
 	fmt.Printf("wrote %s (%d benchmarks)\n", path, len(results))
 }
 
+// gitCommit names the checkout the binary was run from ("-dirty" when
+// the tree has uncommitted changes), or "unknown" outside a git tree.
+func gitCommit() string {
+	out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
+}
+
+// cpuModel reads the first "model name" line of /proc/cpuinfo.
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
 func fastpathSuite(quick bool) []record {
 	systems := []struct {
 		name string
 		mk   func() sysUnderTest
 	}{
 		{"atomfs", func() sysUnderTest { return atomfsSys() }},
-		{"atomfs-fastpath", func() sysUnderTest { return atomfsSys(atomfs.WithFastPath()) }},
+		{"atomfs-epoch-prefix", func() sysUnderTest { return atomfsSys(atomfs.WithEpoch(), atomfs.WithPrefixCache()) }},
 		{"ext4~retryfs", func() sysUnderTest { return sysUnderTest{fs: retryfs.New()} }},
 	}
 
@@ -242,23 +276,19 @@ func fastpathSuite(quick bool) []record {
 	return results
 }
 
-// scaleSuite is the multicore scaling matrix the epoch work is judged
-// by: the read-mostly 95/5 tentpole cell across a GOMAXPROCS sweep for
-// the lock-coupled baseline, the seqlock-validated fast path, and the
-// epoch-reclamation fast path. Under the seqlock design, widening
-// GOMAXPROCS turns writer seqlock sections into reader spin storms
-// (fastpath_seq_spins grows with parallelism); under epochs a reader
-// loads the seqlock once and falls back on an odd count, so the spins
-// column must collapse to zero at every width. The git-clone cells feed
-// cmd/benchdiff's -pair guard: the fast path (adaptive veto in force)
-// must not lose to plain atomfs on a mutation-heavy trace.
+// scaleSuite is the multicore scaling matrix for the lockless read
+// path: the read-mostly 95/5 cell across a GOMAXPROCS sweep for the
+// lock-coupled baseline and the epoch read path (a reader loads the
+// seqlock once and falls back on an odd count, so it never spins however
+// wide the sweep). The git-clone cells feed cmd/benchdiff's -pair guard:
+// the epoch path (adaptive veto in force) must not lose to plain atomfs
+// on a mutation-heavy trace.
 func scaleSuite(quick bool) []record {
 	systems := []struct {
 		name string
 		mk   func() sysUnderTest
 	}{
 		{"atomfs", func() sysUnderTest { return atomfsSys() }},
-		{"atomfs-fastpath", func() sysUnderTest { return atomfsSys(atomfs.WithFastPath()) }},
 		{"atomfs-epoch", func() sysUnderTest { return atomfsSys(atomfs.WithEpoch()) }},
 	}
 	widths := []int{1, 4, 16, 32}
@@ -672,9 +702,6 @@ func fillObs(rec *record, sut sysUnderTest) {
 	if v, ok := reg.FuncValue("atomfs_fastpath_fallbacks_total"); ok && v > 0 {
 		u := uint64(v)
 		rec.FastFalls = &u
-	}
-	if v := reg.Counter("atomfs_fastpath_seq_spins_total").Value(); v > 0 {
-		rec.FastRetries = &v
 	}
 	if v, ok := reg.FuncValue("atomfs_fastpath_vetoed_total"); ok && v > 0 {
 		u := uint64(v)

@@ -178,8 +178,8 @@ func figure10(quick bool, depth int) {
 	}{
 		{"dfscq~slowfs", func() fsapi.FS { return slowfs.New(atomfs.New(atomfs.WithObs(fo.reg("dfscq~slowfs")))) }},
 		{"atomfs", func() fsapi.FS { return atomfs.New(atomfs.WithObs(fo.reg("atomfs"))) }},
-		{"atomfs-fastpath", func() fsapi.FS {
-			return atomfs.New(atomfs.WithFastPath(), atomfs.WithObs(fo.reg("atomfs-fastpath")))
+		{"atomfs-epoch-prefix", func() fsapi.FS {
+			return atomfs.New(atomfs.WithEpoch(), atomfs.WithPrefixCache(), atomfs.WithObs(fo.reg("atomfs-epoch-prefix")))
 		}},
 		{"atomfs-prefix", func() fsapi.FS {
 			return atomfs.New(atomfs.WithPrefixCache(), atomfs.WithObs(fo.reg("atomfs-prefix")))
@@ -261,8 +261,8 @@ func figure11(personality string, maxThreads int, quick bool) {
 		{"atomfs", func() fsapi.FS {
 			return atomfs.New(atomfs.WithBlocks(1<<19), atomfs.WithObs(fo.reg("atomfs")))
 		}},
-		{"atomfs-fastpath", func() fsapi.FS {
-			return atomfs.New(atomfs.WithFastPath(), atomfs.WithBlocks(1<<19), atomfs.WithObs(fo.reg("atomfs-fastpath")))
+		{"atomfs-epoch-prefix", func() fsapi.FS {
+			return atomfs.New(atomfs.WithEpoch(), atomfs.WithPrefixCache(), atomfs.WithBlocks(1<<19), atomfs.WithObs(fo.reg("atomfs-epoch-prefix")))
 		}},
 		{"atomfs-epoch", func() fsapi.FS {
 			return atomfs.New(atomfs.WithEpoch(), atomfs.WithBlocks(1<<19), atomfs.WithObs(fo.reg("atomfs-epoch")))
@@ -400,9 +400,8 @@ func (f *figObs) footer(w io.Writer) {
 		fallsV, _ := r.FuncValue("atomfs_fastpath_fallbacks_total")
 		hits, falls := uint64(hitsV), uint64(fallsV)
 		if att := hits + falls; att > 0 {
-			spins := r.Counter("atomfs_fastpath_seq_spins_total").Value()
-			line += fmt.Sprintf(" fastpath(hit=%.1f%% falls=%d spins=%d)",
-				100*float64(hits)/float64(att), falls, spins)
+			line += fmt.Sprintf(" fastpath(hit=%.1f%% falls=%d)",
+				100*float64(hits)/float64(att), falls)
 		}
 		phV, _ := r.FuncValue("atomfs_prefix_hits_total")
 		pmV, _ := r.FuncValue("atomfs_prefix_misses_total")

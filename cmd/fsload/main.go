@@ -78,7 +78,7 @@ func main() {
 		if lerr != nil {
 			die(lerr)
 		}
-		srv := fuse.NewServer(atomfs.New(atomfs.WithFastPath()))
+		srv := fuse.NewServer(atomfs.New(atomfs.WithEpoch(), atomfs.WithPrefixCache()))
 		srv.SetCoalesce(!*noCoalesce)
 		go srv.Serve(lis)
 		defer srv.Close()

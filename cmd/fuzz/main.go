@@ -41,9 +41,8 @@ func main() {
 	threads := flag.Int("threads", 3, "virtual threads per generated seed")
 	ops := flag.Int("ops", 4, "ops per thread in generated seeds")
 	bug := flag.String("bug", "", "re-introduce a known bug: fixedlp (Figure 1) or unsafe (Figure 8)")
-	fastpath := flag.String("fastpath", "auto", "lockless read fast path: auto, on, off")
 	prefix := flag.String("prefix", "auto", "write-path prefix cache: auto, on, off")
-	epochF := flag.String("epoch", "auto", "epoch-based reclamation for reads: auto, on, off")
+	epochF := flag.String("epoch", "auto", "lockless epoch read path: auto, on, off")
 	faultProb := flag.Float64("faults", 0.3, "per-thread fault-injection probability in generated seeds")
 	maxRuns := flag.Int("max-runs", 0, "stop after this many executions (0 = budget only)")
 	reproOut := flag.String("repro", "", "write the shrunk repro of a finding to this file")
@@ -62,7 +61,6 @@ func main() {
 		Seed:         *seed,
 		Threads:      *threads,
 		OpsPerThread: *ops,
-		FastPath:     *fastpath,
 		Prefix:       *prefix,
 		Epoch:        *epochF,
 		FaultProb:    *faultProb,
@@ -106,7 +104,7 @@ func main() {
 
 	if *reproOut != "" {
 		notes := []string{
-			fmt.Sprintf("found by cmd/fuzz -seed %d (bug=%s fastpath=%s prefix=%s epoch=%s) after %d runs", *seed, *bug, *fastpath, *prefix, *epochF, rep.Runs),
+			fmt.Sprintf("found by cmd/fuzz -seed %d (bug=%s prefix=%s epoch=%s) after %d runs", *seed, *bug, *prefix, *epochF, rep.Runs),
 			fmt.Sprintf("shrunk %d->%d ops; replay: fsreplay -repro <this file>", f.OrigOps, f.MinOps),
 		}
 		if ce := f.Result.Counterexample; ce != nil {

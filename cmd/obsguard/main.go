@@ -1,6 +1,7 @@
 // Command obsguard is the observability-overhead regression gate run by
-// `make obs-overhead` and CI: it benchmarks the fast-path read-mostly
-// workload (the BenchmarkFastPath/read-mostly-95-5 shape) twice — once
+// `make obs-overhead` and CI: it benchmarks the read-mostly workload
+// (the BenchmarkFastPath/read-mostly-95-5 shape) on the served
+// configuration (lockless epoch reads plus the prefix cache) twice — once
 // uninstrumented (nil registry; every obs call site reduces to a nil
 // check) and once with a live registry at the default sampling rate —
 // and fails if the instrumented build is more than -threshold slower.
@@ -44,9 +45,9 @@ func main() {
 		name string
 		mk   func() *atomfs.FS
 	}{
-		{"baseline", func() *atomfs.FS { return atomfs.New(atomfs.WithFastPath()) }},
+		{"baseline", func() *atomfs.FS { return atomfs.New(atomfs.WithEpoch(), atomfs.WithPrefixCache()) }},
 		{"instrumented", func() *atomfs.FS {
-			opts := []atomfs.Option{atomfs.WithFastPath(), atomfs.WithObs(obs.NewRegistry())}
+			opts := []atomfs.Option{atomfs.WithEpoch(), atomfs.WithPrefixCache(), atomfs.WithObs(obs.NewRegistry())}
 			if *sample != 0 {
 				opts = append(opts, atomfs.WithObsSampleEvery(*sample))
 			}

@@ -25,6 +25,7 @@ package atomfs
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -61,7 +62,7 @@ const (
 	// HookStepped fires after a coupled traversal step completes (child
 	// locked, parent released); the operation holds exactly the child.
 	HookStepped
-	// HookFastWalk fires, under WithFastPath only, right after a read-only
+	// HookFastWalk fires, under WithEpoch only, right after a read-only
 	// operation snapshots the mutation sequence counter and before its
 	// lockless walk: parking here lets a test commit a namespace mutation
 	// inside the fast path's window and force a validation failure.
@@ -87,17 +88,15 @@ const (
 	// HookCancelPoll fires at every cancellation poll (the entry of the
 	// op's context check at a coupling step or fast-path start).
 	HookCancelPoll
-	// HookSeqAttempt fires, under WithFastPath only, before a namespace
+	// HookSeqAttempt fires, under WithEpoch only, before a namespace
 	// mutation tries to enter the seqlock write section (it may block on
 	// the section mutex right after); HookSeqRelease fires after it has
 	// left the section and released the mutex.
 	HookSeqAttempt
 	HookSeqRelease
-	// HookFastSnap fires, under WithFastPath only, before a read-only
-	// operation snapshots the mutation sequence counter. The snapshot
-	// spins while a write section is open, so a scheduler must not
-	// resume a parked operation here while a mutator sits inside its
-	// Begin/End section.
+	// HookFastSnap fires, under WithEpoch only, between the epoch pin
+	// and the read-only operation's single load of the mutation sequence
+	// counter (which never waits: an open write section is a fallback).
 	HookFastSnap
 	// HookFastLock fires before the fast path locks its target inode
 	// (Ino identifies it; the acquisition may block), and
@@ -127,9 +126,10 @@ const (
 	// limbo entries under a pinned reader.
 	HookEpochPin
 	HookEpochUnpin
-	// HookEpochRetire fires, under WithEpoch only, inside a namespace
-	// mutation's critical section just before the detached directory
-	// entry is pushed onto the current epoch's limbo list.
+	// HookEpochRetire fires, under WithEpoch only, when the operation
+	// that unlinked a node with no open descriptors pushes the node's
+	// block reclamation onto the current epoch's limbo list instead of
+	// running it (maybeFree; Ino identifies the node).
 	HookEpochRetire
 	// HookEpochAdvance fires, under WithEpoch only, after a mutation has
 	// left its seqlock section and before it attempts the bounded epoch
@@ -186,13 +186,13 @@ type FS struct {
 	big     ilock.Mutex
 	unsafe  bool
 
-	// Lockless read fast path (WithFastPath): mseq is the per-FS namespace
-	// mutation sequence counter, bumped inside the critical section of
-	// every ins/del/rename (the analogue of Linux's rename_lock, widened
-	// to all namespace mutations); seqMu serializes the bump sections so
-	// mseq keeps seqlock semantics. Read-only operations snapshot mseq,
-	// walk without locks, and linearize at a successful re-validation.
-	fastPath  bool
+	// Lockless read fast path (WithEpoch, fastpath.go): mseq is the per-FS
+	// namespace mutation sequence counter, bumped inside the critical
+	// section of every ins/del/rename (the analogue of Linux's
+	// rename_lock, widened to all namespace mutations); seqMu serializes
+	// the bump sections so mseq keeps seqlock semantics. Read-only
+	// operations load mseq once, walk without locks, and linearize at a
+	// successful re-validation.
 	seqMu     sync.Mutex
 	mseq      ilock.SeqCount
 	fastHits  atomic.Uint64
@@ -207,11 +207,12 @@ type FS struct {
 	fastVeto   atomic.Int32
 	fastVetoed atomic.Uint64
 
-	// Epoch-protected read path (WithEpoch, implies WithFastPath): reads
-	// pin edom instead of spinning on mseq, mutations retire detached
-	// entries and unreferenced nodes into edom's limbo and drive its
-	// bounded advance from mutEnd. erecs pools the padded reader records
-	// per FS (the op pool is package-global and must not cache them).
+	// Epoch reclamation for the fast path: reads pin edom for the length
+	// of the walk, mutations retire unreferenced nodes' blocks into
+	// edom's limbo (maybeFree) and drive its bounded advance from mutEnd.
+	// erecs pools the padded reader records per FS (the op pool is
+	// package-global and must not cache them); see recHandle for how
+	// records dropped by the pool go back to the domain.
 	epochMode bool
 	edom      *epoch.Domain
 	erecs     sync.Pool
@@ -266,33 +267,22 @@ func WithUnsafeTraversal() Option { return func(fs *FS) { fs.unsafe = true } }
 // WithHook installs an instrumentation hook.
 func WithHook(h HookFunc) Option { return func(fs *FS) { fs.SetHook(h) } }
 
-// WithFastPath enables the lockless read fast path: Stat, Read and Readdir
-// first attempt an RCU-walk-style traversal that takes no locks on the way
-// down, locks only the final inode, and linearizes at a successful
-// validation of the namespace sequence counter; on a conflicting mutation
-// they fall back to the unchanged lock-coupled slow path. Incompatible
-// with WithBigLock (big-lock operations mutate without per-inode locks, so
-// a fast-path reader could observe torn file data).
-func WithFastPath() Option { return func(fs *FS) { fs.fastPath = true } }
-
-// WithEpoch replaces the fast path's bounded seqlock snapshot with
-// epoch-based reclamation (implies WithFastPath): Stat, Read and Readdir
-// pin the reclamation epoch, take ONE sequence-counter load (a writer in
-// flight means an immediate fallback, never a spin), walk lock-free, and
-// linearize at a single final-instant validation at the terminal inode —
-// via the monitor's ReadEpochEntry when monitored. Mutations retire what
-// they detach into per-epoch limbo lists, freed only after two grace
-// periods, and drive a bounded, non-blocking epoch advance from their
-// unlock path. With WithPrefixCache, epoch readers additionally enter
-// the walk at the deepest cached ancestor, validated by generation
-// stamps alone — no lock acquisition on the way down. Incompatible with
-// WithBigLock for the same reason as WithFastPath.
-func WithEpoch() Option {
-	return func(fs *FS) {
-		fs.epochMode = true
-		fs.fastPath = true
-	}
-}
+// WithEpoch enables the lockless read fast path (fastpath.go): Stat,
+// Read and Readdir pin the reclamation epoch, take ONE sequence-counter
+// load (a writer in flight means an immediate fallback, never a spin),
+// walk lock-free, lock only the terminal inode, and linearize at a single
+// final-instant validation — via the monitor's ReadEpochEntry when
+// monitored; any failed validation falls back to the unchanged
+// lock-coupled slow path. Unlinked nodes' blocks are retired into
+// per-epoch limbo lists, freed only after two grace periods, and
+// mutations drive a bounded, non-blocking epoch advance from their
+// unlock path. With WithPrefixCache, readers additionally enter the walk
+// at the deepest cached ancestor, validated by generation stamps alone —
+// no lock acquisition on the way down. WithEpoch plus WithPrefixCache is
+// the served configuration (cmd/atomfsd). Incompatible with WithBigLock
+// (big-lock operations mutate without per-inode locks, so a fast-path
+// reader could observe torn file data).
+func WithEpoch() Option { return func(fs *FS) { fs.epochMode = true } }
 
 // WithPrefixCache enables the seqlock-validated path-prefix cache: every
 // lock-coupled walk (the write path and the reads' slow path) looks up
@@ -303,8 +293,9 @@ func WithEpoch() Option {
 // Rename and unlink bump the generations of the inodes they detach,
 // invalidating exactly the prefixes that ran through them — no global
 // epoch. Incompatible with WithBigLock (no per-inode locks to enter at).
-// Composes with WithFastPath: reads keep their lockless fast path and
-// shortcut only when they fall back to the locked walk.
+// Composes with WithEpoch: the lockless reads enter at the cached
+// ancestor too (without its lock), and their slow path shortcuts like
+// the write path.
 func WithPrefixCache() Option { return func(fs *FS) { fs.prefix = true } }
 
 // WithJournal attaches a durable write-ahead operation journal
@@ -324,7 +315,7 @@ func WithBlocks(n int) Option {
 }
 
 // WithObs attaches an observability registry: per-op-type latency and
-// counts, fast-path hit/fallback/seq-spin counters, lock wait/hold
+// counts, fast-path hit/fallback/veto counters, lock wait/hold
 // histograms, and flight-recorder events. A nil registry leaves the file
 // system on the zero-overhead no-op path.
 func WithObs(reg *obs.Registry) Option { return func(fs *FS) { fs.obsReg = reg } }
@@ -347,7 +338,7 @@ func New(opts ...Option) *FS {
 	if fs.bigLock && fs.mon != nil {
 		panic("atomfs: WithBigLock cannot be monitored")
 	}
-	if fs.bigLock && fs.fastPath {
+	if fs.bigLock && fs.epochMode {
 		panic("atomfs: WithBigLock cannot take the lockless fast path")
 	}
 	if fs.bigLock && fs.prefix {
@@ -359,7 +350,7 @@ func New(opts ...Option) *FS {
 	if fs.epochMode {
 		fs.edom = epoch.NewDomain()
 		d := fs.edom
-		fs.erecs.New = func() any { return d.Register() }
+		fs.erecs.New = func() any { return newRecHandle(d) }
 	}
 	fs.root = &node{ino: spec.RootIno, kind: spec.KindDir, dir: dir.New[*node]()}
 	fs.nextIno.Store(int64(spec.RootIno) + 1)
@@ -390,10 +381,6 @@ func (fs *FS) Name() string {
 		return "atomfs-epoch-prefix"
 	case fs.epochMode:
 		return "atomfs-epoch"
-	case fs.fastPath && fs.prefix:
-		return "atomfs-fastpath-prefix"
-	case fs.fastPath:
-		return "atomfs-fastpath"
 	case fs.prefix:
 		return "atomfs-prefix"
 	default:
@@ -403,7 +390,7 @@ func (fs *FS) Name() string {
 
 // FastPathStats reports how many read-only operations completed on the
 // lockless fast path and how many fell back to the lock-coupled slow path
-// (validation failure or torn read). Zero/zero unless WithFastPath.
+// (validation failure or torn read). Zero/zero unless WithEpoch.
 func (fs *FS) FastPathStats() (hits, fallbacks uint64) {
 	return fs.fastHits.Load(), fs.fastFalls.Load()
 }
@@ -490,11 +477,9 @@ type op struct {
 	ptid uint64
 	// Observability state (meaningful only while fs.obs != nil): traced
 	// marks this op as carrying full begin/end and lock tracing; startNs
-	// is the traced begin timestamp (0 = unset); spins is the seqlock
-	// retry count of the last fast-path snapshot; fallReason is why the
+	// is the traced begin timestamp (0 = unset); fallReason is why the
 	// last fast-path attempt fell back (fallNone while it didn't).
 	startNs    int64
-	spins      uint32
 	fallReason uint8
 	traced     bool
 	// Prefix-cache walk recording (WithPrefixCache): while chainRec is
@@ -550,7 +535,7 @@ func (fs *FS) begin(ctx context.Context, kind spec.Op, args spec.Args) *op {
 // beginRead starts a read-only operation: under the monitor it registers a
 // read-only session, whose fast path may linearize at a validation point.
 func (fs *FS) beginRead(ctx context.Context, kind spec.Op, args spec.Args) *op {
-	return fs.beginOp(ctx, kind, args, fs.fastPath)
+	return fs.beginOp(ctx, kind, args, fs.epochMode)
 }
 
 func (fs *FS) beginOp(ctx context.Context, kind spec.Op, args spec.Args, readonly bool) *op {
@@ -641,10 +626,10 @@ func (o *op) cancelled() error {
 // (link insert/delete plus the LP) with the fast path's sequence counter.
 // seqMu serializes concurrent mutators' bump sections — mutations deep in
 // disjoint subtrees hold disjoint inode locks — so the counter keeps
-// seqlock semantics. Without WithFastPath there are no lockless readers to
+// seqlock semantics. Without WithEpoch there are no lockless readers to
 // invalidate and the slow path stays byte-for-byte as before.
 func (o *op) mutBegin() {
-	if o.fs.fastPath {
+	if o.fs.epochMode {
 		o.fire(HookSeqAttempt, "", 0)
 		o.fs.seqMu.Lock()
 		o.fs.mseq.Begin()
@@ -652,12 +637,10 @@ func (o *op) mutBegin() {
 }
 
 func (o *op) mutEnd() {
-	if o.fs.fastPath {
+	if o.fs.epochMode {
 		o.fs.mseq.End()
 		o.fs.seqMu.Unlock()
 		o.fire(HookSeqRelease, "", 0)
-	}
-	if o.fs.epochMode {
 		// The write path is the epoch's only pacemaker: one bounded,
 		// non-blocking advance attempt per mutation, after the seqlock
 		// section so readers entering now already see the new namespace.
@@ -846,25 +829,16 @@ func (o *op) detachEnd(n *node) {
 	}
 }
 
-// dirDelete removes name from parent's table inside the operation's
-// committing critical section. Under WithEpoch the detached entry value
-// is retired to the current epoch's limbo at the unlink instant — while
-// the seqlock section is still open, so the entry is retired in an epoch
-// no later than the one its unlink published in — keeping it reachable
-// for every reader pinned before the unlink until two grace periods
-// pass. Without WithEpoch this is a plain Delete (the GC alone keeps
-// readers safe there; the seqlock validation keeps them consistent).
-func (o *op) dirDelete(parent *node, name string) {
-	if !o.fs.epochMode {
-		parent.dir.Delete(name)
-		return
-	}
-	o.fire(HookEpochRetire, "", 0)
-	edom := o.fs.edom
-	parent.dir.DeleteRetire(name, func(child *node) {
-		// The closure pins the detached node (and through it the entry's
-		// subtree pointers) in limbo; the deferred free is the reference
-		// drop itself.
-		edom.Retire(func() { _ = child })
-	})
+// recHandle carries one epoch reader record through fs.erecs. The pool
+// drops idle items at every GC; a record dropped that way must go back
+// to its domain, or TryAdvance would scan an ever-growing list of dead
+// records. The handle's finalizer returns it (epoch.Domain.Unregister),
+// so the registered count stays near peak concurrent readers, and the
+// read path still touches nothing shared to obtain a record.
+type recHandle struct{ rec *epoch.Record }
+
+func newRecHandle(d *epoch.Domain) *recHandle {
+	h := &recHandle{rec: d.Register()}
+	runtime.SetFinalizer(h, func(h *recHandle) { d.Unregister(h.rec) })
+	return h
 }

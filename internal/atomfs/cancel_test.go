@@ -179,7 +179,7 @@ func TestCancellationStorm(t *testing.T) {
 		opts []Option
 	}{
 		{"coupled", nil},
-		{"fastpath", []Option{WithFastPath()}},
+		{"fastpath", []Option{WithEpoch(), WithPrefixCache()}},
 	} {
 		variant := variant
 		t.Run(variant.name, func(t *testing.T) {

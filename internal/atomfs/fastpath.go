@@ -1,36 +1,40 @@
 package atomfs
 
-// The lockless read fast path (WithFastPath): an RCU-walk-style traversal
-// in the spirit of Linux's rcu-walk + rename_lock, adapted to AtomFS and to
-// the CRL-H verification story.
+// The lockless read fast path (WithEpoch): an RCU-walk-style traversal
+// in the spirit of Linux's rcu-walk + rename_lock, adapted to AtomFS and
+// to the CRL-H verification story. Stat, Read and Readdir:
 //
-// Protocol, for Stat/Read/Readdir:
-//
-//  1. snapshot the namespace mutation counter (fs.mseq.Read);
-//  2. walk the path with no locks at all — every shared load along the way
+//  1. pin the reclamation epoch (one load + one store into the reader's
+//     own padded record; internal/epoch explains why no CAS or
+//     revalidation is needed). The pin contributes MEMORY SAFETY only —
+//     nothing the walk touches can be reclaimed while pinned — never
+//     consistency;
+//  2. take ONE load of the namespace mutation counter (fs.mseq, bumped
+//     inside the critical section of every ins/del/rename). Odd means a
+//     writer is in flight: fall back at once (fallWriterInFlight) rather
+//     than spin it out, so an attempt's entry cost is bounded by the load;
+//  3. walk with no locks at all — every shared load along the way
 //     (directory bucket heads, entry next pointers) is atomic, and
-//     dir.Table's RCU-hlist discipline guarantees each individual lookup
-//     sees either a fully published entry or none;
-//  3. on a walk error, attempt to linearize the error result directly: if
-//     the counter is unchanged, no namespace mutation's critical section
-//     overlapped the walk, so the walk's observations were equivalent to an
-//     atomic snapshot and the error is the correct result;
-//  4. on reaching the target, lock ONLY the target inode and re-validate
-//     the counter before touching any of its content. The validation rules
-//     out that the node was unlinked since the snapshot (an unlink would
-//     have bumped the counter inside its critical section), so its blocks
-//     cannot have been freed or reused; and once validated under the lock,
-//     any later unlink must acquire the target's lock first and therefore
-//     orders entirely after us;
-//  5. read the result (size, data, names) under the target lock, then
-//     linearize at a second, final validation — under the monitor this is
-//     Session.LPValidated, which evaluates the validation inside the
-//     monitor's atomic block so that "counter unchanged" provably means "no
-//     mutation's Aop ran since the snapshot";
-//  6. any validation failure abandons the attempt and the operation runs
+//     dir.Table's RCU-hlist discipline guarantees each lookup sees either
+//     a fully published entry or none — optionally entering at the
+//     deepest prefix-cache ancestor validated by generation stamps alone;
+//  4. on a walk error, linearize the error at a validation of the counter
+//     alone: unchanged means no namespace mutation's critical section
+//     overlapped the walk, so the walk was equivalent to an atomic
+//     snapshot;
+//  5. on reaching the target, lock ONLY the target inode and re-validate
+//     — Write/Truncate mutate file content under the inode lock without
+//     bumping the counter, so the terminal lock is what rules out torn
+//     data, and once validated under it any later unlink orders entirely
+//     after us;
+//  6. read the result under that lock and linearize at one final-instant
+//     validation — under the monitor this is Session.ReadEpochEntry,
+//     which replays the observed path against the abstract tree and
+//     raises ViolEpoch if a passing validation ever disagrees with it;
+//  7. any failed validation abandons the attempt and the operation runs
 //     the unchanged lock-coupled slow path (a single fallback, no retry
-//     loop: under heavy mutation the slow path's progress guarantee is the
-//     better one).
+//     loop: under heavy mutation the slow path's progress guarantee is
+//     the better one).
 //
 // The fast path acquires locks in the order [target inode] then [monitor
 // internals]; mutators acquire [inode locks] then [seqMu] then [monitor
@@ -38,28 +42,17 @@ package atomfs
 // holds exactly one inode lock and never seqMu.
 
 import (
-	"repro/internal/epoch"
 	"repro/internal/fserr"
-	"repro/internal/obs"
 	"repro/internal/spec"
 )
-
-// fastSpinBudget bounds the seqlock snapshot's retry loop: after this
-// many odd observations (with ilock.ReadBounded's exponential-backoff
-// yielding between bursts) the attempt gives up and takes the locked
-// slow path. Unbounded spinning was pathological under writer
-// contention — the read-mostly 95/5 benchmark showed hundreds of spins
-// per hit — and the slow path's progress guarantee is strictly better
-// than waiting out a writer convoy.
-const fastSpinBudget = 128
 
 // Fast-path fallback reasons (op.fallReason), exported per-reason by the
 // obs layer: which validation sent the attempt to the slow path.
 const (
 	fallNone = iota
-	// fallSpinBudget: the mutation counter never stabilized within
-	// fastSpinBudget observations (a writer convoy).
-	fallSpinBudget
+	// fallWriterInFlight: the single sequence load observed an open
+	// write section.
+	fallWriterInFlight
 	// fallWalkValidate: the lock-free walk errored and the error result
 	// could not be linearized (counter moved during the walk).
 	fallWalkValidate
@@ -69,21 +62,16 @@ const (
 	// fallLPValidate: the final validation LP failed — counter moved
 	// while reading the result, or the monitor refused (helplist).
 	fallLPValidate
-	// fallWriterInFlight (WithEpoch only): the single wait-free sequence
-	// load observed an open write section. The epoch path never spins it
-	// out — one odd load and the attempt is over.
-	fallWriterInFlight
 
 	nFallReasons
 )
 
 // fallReasonNames labels the obs per-reason fallback counters.
 var fallReasonNames = [nFallReasons]string{
-	fallSpinBudget:     "spin-budget",
+	fallWriterInFlight: "writer-inflight",
 	fallWalkValidate:   "walk-validate",
 	fallLockValidate:   "lock-validate",
 	fallLPValidate:     "lp-validate",
-	fallWriterInFlight: "writer-inflight",
 }
 
 // Adaptive fast-path veto (fig10 fix): after fastStreakLimit consecutive
@@ -115,33 +103,6 @@ func (o *op) fastAdmit() bool {
 	}
 }
 
-// fastWalk resolves parts from the root without taking any locks,
-// additionally returning how many lock-free lookups it performed (the
-// caller accounts them in one sharded add; dir.Lookup itself is too hot
-// to count per component). Error precedence mirrors the slow path's
-// stepKeeping: a non-directory on the path reports ErrNotDir before a
-// missing entry reports ErrNotExist.
-func (o *op) fastWalk(parts []string) (n *node, steps int, err error) {
-	return o.fastWalkFrom(o.fs.root, parts)
-}
-
-// fastWalkFrom is fastWalk starting at an arbitrary node — the epoch
-// path's prefix-cache entry walks the remainder from a cached ancestor.
-func (o *op) fastWalkFrom(cur *node, parts []string) (n *node, steps int, err error) {
-	for _, name := range parts {
-		if cur.kind != spec.KindDir {
-			return nil, steps, fserr.ErrNotDir
-		}
-		steps++
-		child, ok := cur.dir.Lookup(name)
-		if !ok {
-			return nil, steps, fserr.ErrNotExist
-		}
-		cur = child
-	}
-	return cur, steps, nil
-}
-
 // lpValidated attempts to linearize the read-only operation at a validation
 // of the sequence snapshot. Unmonitored, the validation itself is the
 // linearization point; monitored, the session re-evaluates it inside the
@@ -154,118 +115,28 @@ func (o *op) lpValidated(seq uint64) bool {
 	return o.s.LPValidated(func() bool { return fs.mseq.Validate(seq) })
 }
 
-// fastTry runs one fast-path attempt: lockless walk, then — on success —
-// target-locked result extraction via result, then the validation LP.
-// result runs with the target locked and the snapshot already validated
-// once, so node content (data blocks, directory tables) is stable and
-// mutex-synchronized. ok=false means the caller must fall back to the slow
-// path; ret is only meaningful when ok.
-func (o *op) fastTry(parts []string, result func(n *node) spec.Ret) (ret spec.Ret, ok bool) {
-	if o.fs.epochMode {
-		return o.epochTry(parts, result)
-	}
-	fs := o.fs
-	o.fallReason = fallNone
-	o.fire(HookFastSnap, "", 0)
-	seq, spins, stable := fs.mseq.ReadBounded(fastSpinBudget)
-	if p := fs.obs; p != nil {
-		// No attempt counter or event here: an attempt is implied by the
-		// hit/fallback it always ends in, and this path is too hot for
-		// derivable accounting. Seqlock spins are the exception — rare,
-		// and the early signal of a fallback storm.
-		o.spins = uint32(spins)
-		if spins > 0 {
-			p.fastSpins.Add(o.tid, uint64(spins))
-			if o.traced {
-				p.rec.Emit(o.tid, obs.EvFastAttempt, uint8(o.kind), 0, uint64(spins))
-			}
-		}
-	}
-	if !stable {
-		o.fallReason = fallSpinBudget
-		return spec.Ret{}, false
-	}
-	o.fire(HookFastWalk, "", 0)
-	n, steps, err := o.fastWalk(parts)
-	if p := fs.obs; p != nil && o.traced && steps > 0 {
-		p.rcuWalkSteps.Add(uint64(steps))
-	}
-	if err != nil {
-		// No lock held: the error linearizes at the validation alone.
-		o.fire(HookFastLP, "", 0)
-		if o.lpValidated(seq) {
-			return spec.ErrRet(err), true
-		}
-		o.fallReason = fallWalkValidate
-		return spec.Ret{}, false
-	}
-	// Lock only the target; the deliberate asymmetry with the slow path's
-	// lock coupling is the whole point. The monitor is NOT told about this
-	// acquisition: a read-only session's fast path contributes no LockPath,
-	// and its LP obligation is discharged by LPValidated instead.
-	o.fire(HookFastLock, "", n.ino)
-	n.lk.Lock(o.tid)
-	if !fs.mseq.Validate(seq) {
-		n.lk.Unlock(o.tid)
-		o.fire(HookFastUnlock, "", n.ino)
-		o.fallReason = fallLockValidate
-		return spec.Ret{}, false
-	}
-	ret = result(n)
-	o.fire(HookFastLP, "", 0)
-	ok = o.lpValidated(seq)
-	n.lk.Unlock(o.tid)
-	o.fire(HookFastUnlock, "", n.ino)
-	if !ok {
-		o.fallReason = fallLPValidate
-		return spec.Ret{}, false
-	}
-	return ret, true
-}
-
 // epochSkipFinalCheckForTest disables the epoch read's final-instant
 // sequence validation — the deliberate protocol break of the ViolEpoch
 // negative control. The monitor must then catch the divergence by
 // abstract replay; never set outside tests.
 var epochSkipFinalCheckForTest = false
 
-// epochTry is fastTry under WithEpoch — the wait-free variant:
-//
-//  1. pin the reclamation epoch (one load + one store into the reader's
-//     own padded record; internal/epoch explains why no CAS or
-//     revalidation is needed). The pin contributes MEMORY SAFETY only —
-//     nothing the walk touches can be reclaimed while pinned — never
-//     consistency;
-//  2. take ONE sequence-counter load. Odd means a writer is in flight:
-//     fall back immediately (fallWriterInFlight) instead of spinning it
-//     out — the attempt's cost is bounded by the load, which is what
-//     collapses fastpath_seq_spins to structurally zero;
-//  3. walk lock-free, optionally entering at the deepest prefix-cache
-//     ancestor validated by generation stamps alone (no lock on the way
-//     down; a stale entry either fails its lock-free gen check here or
-//     is subsumed by the final validation);
-//  4. lock ONLY the terminal inode and re-validate — Write/Truncate
-//     mutate file content under the inode lock without bumping the
-//     namespace counter, so the terminal lock is still what rules out
-//     torn data;
-//  5. read the result under that lock and linearize at one final-instant
-//     validation — under the monitor this is Session.ReadEpochEntry,
-//     which replays the observed path against the abstract tree and
-//     raises ViolEpoch if a passing validation ever disagrees with it.
-//
-// The seqlock thus survives only as steps 2/4/5's single-load checks at
-// the linearization point; the per-node retry loops are gone.
-func (o *op) epochTry(parts []string, result func(n *node) spec.Ret) (ret spec.Ret, ok bool) {
+// fastTry runs one fast-path attempt (steps 1-7 above): result runs
+// with the target locked and the snapshot already validated once, so
+// node content (data blocks, directory tables) is stable and
+// mutex-synchronized. ok=false means the caller must fall back to the
+// slow path; ret is only meaningful when ok.
+func (o *op) fastTry(parts []string, result func(n *node) spec.Ret) (ret spec.Ret, ok bool) {
 	fs := o.fs
 	o.fallReason = fallNone
-	o.spins = 0
-	rec := fs.erecs.Get().(*epoch.Record)
+	h := fs.erecs.Get().(*recHandle)
+	rec := h.rec
 	o.fire(HookEpochPin, "", 0)
 	rec.Pin(fs.edom)
 	defer func() {
 		rec.Unpin()
 		o.fire(HookEpochUnpin, "", 0)
-		fs.erecs.Put(rec)
+		fs.erecs.Put(h)
 	}()
 	o.fire(HookFastSnap, "", 0)
 	seq, even := fs.mseq.Current()
@@ -274,7 +145,7 @@ func (o *op) epochTry(parts []string, result func(n *node) spec.Ret) (ret spec.R
 		return spec.Ret{}, false
 	}
 	o.fire(HookFastWalk, "", 0)
-	n, steps, err := o.epochWalk(parts)
+	n, steps, err := o.fastWalk(parts)
 	if p := fs.obs; p != nil && o.traced && steps > 0 {
 		p.rcuWalkSteps.Add(uint64(steps))
 	}
@@ -309,23 +180,26 @@ func (o *op) epochTry(parts []string, result func(n *node) spec.Ret) (ret spec.R
 	return ret, true
 }
 
-// epochWalk resolves parts lock-free under the caller's epoch pin,
-// entering at the deepest prefix-cache ancestor when one validates.
+// fastWalk resolves parts lock-free under the caller's epoch pin,
+// entering at the deepest prefix-cache ancestor when one validates, and
+// reports how many lock-free lookups it made (the caller accounts them
+// in one add; dir.Lookup itself is too hot to count per component).
 // Unlike the write path's traversePrefix, the entry takes NO lock and
 // tells the monitor nothing: consistency is wholly discharged by the
 // final-instant validation (a chain detached before the sequence
 // snapshot fails its generation check here; one detached after it fails
-// the snapshot validation at the LP).
-func (o *op) epochWalk(parts []string) (n *node, steps int, err error) {
+// the snapshot validation at the LP). Error precedence mirrors the slow
+// path's stepKeeping: a non-directory on the path reports ErrNotDir
+// before a missing entry reports ErrNotExist.
+func (o *op) fastWalk(parts []string) (n *node, steps int, err error) {
 	fs := o.fs
 	cur := fs.root
-	rest := parts
 	if fs.prefix && len(parts) > 0 {
 		o.fire(HookPrefixLookup, "", 0)
 		if ent := fs.prefixLookup(parts); ent != nil {
 			k := len(ent.names)
 			cur = ent.nodes[k]
-			rest = parts[k:]
+			parts = parts[k:]
 			fs.prefixHits.Add(1)
 			if p := fs.obs; p != nil {
 				p.prefixHit(o, cur.ino, k)
@@ -334,7 +208,18 @@ func (o *op) epochWalk(parts []string) (n *node, steps int, err error) {
 			fs.prefixMisses.Add(1)
 		}
 	}
-	return o.fastWalkFrom(cur, rest)
+	for _, name := range parts {
+		if cur.kind != spec.KindDir {
+			return nil, steps, fserr.ErrNotDir
+		}
+		steps++
+		child, ok := cur.dir.Lookup(name)
+		if !ok {
+			return nil, steps, fserr.ErrNotExist
+		}
+		cur = child
+	}
+	return cur, steps, nil
 }
 
 // lpEpoch linearizes the epoch read at its final-instant validation.

@@ -15,23 +15,40 @@ import (
 	"repro/internal/lincheck"
 )
 
+// newServed builds the served configuration — the lockless read fast
+// path (WithEpoch) plus the prefix cache — with extra options.
+func newServed(opts ...Option) *FS {
+	return New(append([]Option{WithEpoch(), WithPrefixCache()}, opts...)...)
+}
+
+// TestFastPathName pins the six variant names: the served configuration
+// plus the paper's baselines and the single-feature variants.
 func TestFastPathName(t *testing.T) {
-	if got := New(WithFastPath()).Name(); got != "atomfs-fastpath" {
-		t.Fatalf("Name() = %q, want atomfs-fastpath", got)
+	for want, opts := range map[string][]Option{
+		"atomfs":              nil,
+		"atomfs-biglock":      {WithBigLock()},
+		"atomfs-unsafe":       {WithUnsafeTraversal()},
+		"atomfs-prefix":       {WithPrefixCache()},
+		"atomfs-epoch":        {WithEpoch()},
+		"atomfs-epoch-prefix": {WithEpoch(), WithPrefixCache()},
+	} {
+		if got := New(opts...).Name(); got != want {
+			t.Errorf("Name() = %q, want %q", got, want)
+		}
 	}
 }
 
 func TestFastPathBigLockPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("WithBigLock+WithFastPath did not panic")
+			t.Fatal("WithBigLock+WithEpoch+WithPrefixCache did not panic")
 		}
 	}()
-	New(WithBigLock(), WithFastPath())
+	newServed(WithBigLock())
 }
 
 func TestFastPathFunctional(t *testing.T) {
-	fstest.Functional(t, New(WithFastPath()))
+	fstest.Functional(t, newServed())
 }
 
 // TestFastPathFunctionalMonitored: the full functional suite with the
@@ -40,13 +57,13 @@ func TestFastPathFunctional(t *testing.T) {
 // the abstract one fixed there.
 func TestFastPathFunctionalMonitored(t *testing.T) {
 	mon := core.NewMonitor(core.Config{CheckGoodAFS: true})
-	fs := New(WithFastPath(), WithMonitor(mon))
+	fs := newServed(WithMonitor(mon))
 	fstest.Functional(t, fs)
 	requireClean(t, mon)
 	if err := mon.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if mon.Stats().FastReads == 0 {
+	if st := mon.Stats(); st.FastReads+st.EpochReads == 0 {
 		t.Fatal("no read linearized at a validation point")
 	}
 }
@@ -54,14 +71,14 @@ func TestFastPathFunctionalMonitored(t *testing.T) {
 func TestFastPathDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			fstest.Differential(t, New(WithFastPath()), seed, 600)
+			fstest.Differential(t, newServed(), seed, 600)
 		})
 	}
 }
 
 func TestFastPathDifferentialMonitored(t *testing.T) {
 	mon := core.NewMonitor(core.Config{CheckGoodAFS: true})
-	fs := New(WithFastPath(), WithMonitor(mon))
+	fs := newServed(WithMonitor(mon))
 	fstest.Differential(t, fs, 42, 800)
 	requireClean(t, mon)
 	if err := mon.Quiesce(); err != nil {
@@ -72,7 +89,7 @@ func TestFastPathDifferentialMonitored(t *testing.T) {
 // TestFastPathHits: without concurrent mutators every read completes on
 // the fast path.
 func TestFastPathHits(t *testing.T) {
-	fs := New(WithFastPath())
+	fs := newServed()
 	if err := fs.Mkdir(tctx, "/a"); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +123,7 @@ func TestFastPathHits(t *testing.T) {
 // validation must fail, the fallback counter must tick, and the slow path
 // must produce the post-mutation result.
 func TestFastPathForcedFallback(t *testing.T) {
-	fs := New(WithFastPath())
+	fs := newServed()
 	if err := fs.Mkdir(tctx, "/a"); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +174,7 @@ func TestFastPathForcedFallback(t *testing.T) {
 // conflicting mutation: the rename moves the stat's whole subtree, so the
 // slow-path retry must observe the post-rename tree.
 func TestFastPathForcedFallbackConflicting(t *testing.T) {
-	fs := New(WithFastPath())
+	fs := newServed()
 	if err := fs.Mkdir(tctx, "/a"); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +218,7 @@ func TestFastPathForcedFallbackConflicting(t *testing.T) {
 // every result must be one of the states the path legitimately passes
 // through.
 func TestFastPathRaceStress(t *testing.T) {
-	fs := New(WithFastPath())
+	fs := newServed()
 	for _, d := range []string{"/a", "/a/b", "/c"} {
 		if err := fs.Mkdir(tctx, d); err != nil {
 			t.Fatal(err)
@@ -280,7 +297,7 @@ func TestFastPathMonitoredConcurrent(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		rec := history.NewRecorder()
 		mon := core.NewMonitor(core.Config{Recorder: rec, CheckGoodAFS: true})
-		fs := New(WithFastPath(), WithMonitor(mon))
+		fs := newServed(WithMonitor(mon))
 		if err := fs.Mkdir(tctx, "/a"); err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +345,8 @@ func TestFastPathMonitoredConcurrent(t *testing.T) {
 		if err := lincheck.Replay(pre, ops, order); err != nil {
 			t.Fatalf("round %d: monitor order illegal: %v", round, err)
 		}
-		totalFast += mon.Stats().FastReads
+		st := mon.Stats()
+		totalFast += st.FastReads + st.EpochReads
 	}
 	if totalFast == 0 {
 		t.Fatal("30 rounds and no read ever linearized at a validation point")
@@ -339,7 +357,7 @@ func TestFastPathMonitoredConcurrent(t *testing.T) {
 // monitor with the fast path enabled.
 func TestFastPathMonitoredStress(t *testing.T) {
 	mon := core.NewMonitor(core.Config{CheckGoodAFS: true})
-	fs := New(WithFastPath(), WithMonitor(mon))
+	fs := newServed(WithMonitor(mon))
 	fstest.Stress(t, fs, 6, 300, 97)
 	requireClean(t, mon)
 	if err := mon.Quiesce(); err != nil {
@@ -349,13 +367,13 @@ func TestFastPathMonitoredStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := mon.Stats()
-	t.Logf("monitored stress: %d fast reads, %d fallbacks", st.FastReads, st.FastFallbacks)
+	t.Logf("monitored stress: %d fast reads, %d fallbacks", st.FastReads+st.EpochReads, st.FastFallbacks+st.EpochFallbacks)
 }
 
 // TestFastPathCountersConverge: hits+fallbacks covers every read-only
 // operation that attempted the fast path.
 func TestFastPathCountersConverge(t *testing.T) {
-	fs := New(WithFastPath())
+	fs := newServed()
 	if err := fs.Mkdir(tctx, "/a"); err != nil {
 		t.Fatal(err)
 	}

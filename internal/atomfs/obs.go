@@ -1,9 +1,9 @@
 package atomfs
 
 // Observability wiring for AtomFS (WithObs): per-op-type latency
-// histograms and counters, fast-path attempt/hit/fallback/seqlock-spin
-// counters, per-inode lock wait & hold histograms, and flight-recorder
-// events for op begin/end, lock coupling steps and fast-path outcomes.
+// histograms and counters, fast-path hit/fallback/veto counters,
+// per-inode lock wait & hold histograms, and flight-recorder events for
+// op begin/end, lock coupling steps and fast-path outcomes.
 //
 // Cost discipline: the registry counters are always-on (a few sharded
 // atomic adds per operation), but clock reads and ring events are
@@ -59,8 +59,6 @@ type obsPack struct {
 	lockWait *obs.Histogram
 	lockHold *obs.Histogram
 
-	fastSpins *obs.Counter
-
 	// fastFallReason splits atomfs_fastpath_fallbacks_total by which
 	// validation sent the attempt to the slow path (indexed by the
 	// fallReason constants); the undifferentiated total stays on the
@@ -99,14 +97,13 @@ func newObsPack(fs *FS, reg *obs.Registry, sampleEvery uint64) *obsPack {
 	// fast path maintains whether or not observability is on, so turning
 	// the registry on adds nothing to this accounting; attempts are the
 	// sum of the two. Exposed as render-time funcs (read with FuncValue).
-	p.fastSpins = reg.Counter("atomfs_fastpath_seq_spins_total")
 	reg.GaugeFunc("atomfs_fastpath_hits_total", func() int64 {
 		return int64(fs.fastHits.Load())
 	})
 	reg.GaugeFunc("atomfs_fastpath_fallbacks_total", func() int64 {
 		return int64(fs.fastFalls.Load())
 	})
-	for r := fallSpinBudget; r < nFallReasons; r++ {
+	for r := fallNone + 1; r < nFallReasons; r++ {
 		p.fastFallReason[r] = reg.Counter(fmt.Sprintf(
 			"atomfs_fastpath_fallback_total{reason=%q}", fallReasonNames[r]))
 	}
@@ -236,7 +233,7 @@ func (o *op) fastHit() {
 	o.fs.fastHits.Add(1)
 	o.fs.fastStreak.Store(0)
 	if p := o.fs.obs; p != nil && o.traced {
-		p.rec.Emit(o.tid, obs.EvFastHit, uint8(o.kind), 0, uint64(o.spins))
+		p.rec.Emit(o.tid, obs.EvFastHit, uint8(o.kind), 0, 0)
 	}
 }
 
@@ -259,7 +256,7 @@ func (o *op) fastFall() {
 		if o.startNs == 0 {
 			o.startNs = now // latency from here covers the slow-path retry
 		}
-		p.rec.EmitAt(now, o.tid, obs.EvFastFallback, uint8(o.kind), 0, uint64(o.spins))
+		p.rec.EmitAt(now, o.tid, obs.EvFastFallback, uint8(o.kind), 0, 0)
 		o.traced = true
 	}
 }

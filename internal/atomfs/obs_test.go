@@ -15,7 +15,7 @@ import (
 // counters, RCU stats, and the op/lock event stream.
 func TestObsInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
-	fs := New(WithFastPath(), WithObs(reg), WithObsSampleEvery(1))
+	fs := newServed(WithObs(reg), WithObsSampleEvery(1))
 
 	if err := fs.Mkdir(tctx, "/d"); err != nil {
 		t.Fatal(err)
@@ -79,8 +79,6 @@ func TestObsInstrumentation(t *testing.T) {
 	for _, e := range ev {
 		kinds[e.Kind]++
 	}
-	// EvFastAttempt is absent by design: it is only emitted when the
-	// seqlock snapshot spun, which cannot happen uncontended.
 	for _, k := range []obs.EventKind{obs.EvOpBegin, obs.EvOpEnd, obs.EvLockAcq, obs.EvLockRel, obs.EvFastHit} {
 		if kinds[k] == 0 {
 			t.Errorf("flight recorder has no %s events: %v", k, kinds)

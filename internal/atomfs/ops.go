@@ -138,13 +138,13 @@ func (fs *FS) del(ctx context.Context, opKind spec.Op, kind spec.Kind, path stri
 	}
 	o.mutBegin()
 	o.detachBegin(child) // the removed child's prefixes go stale, not the parent's
-	o.dirDelete(parent, name)
+	parent.dir.Delete(name)
 	child.ref.unlinked.Store(true) // §5.4: open descriptors keep it alive
 	o.lp()                         // ▶ LP: DEL ◀
 	o.detachEnd(child)
 	o.mutEnd()
 	o.unlockSet(child, parent)
-	fs.maybeFree(child)
+	fs.maybeFree(o, child)
 	return o.end(spec.OkRet()).Err
 }
 
@@ -155,7 +155,7 @@ func (fs *FS) Stat(ctx context.Context, path string) (fsapi.Info, error) {
 	if err != nil {
 		return fsapi.Info{}, o.end(spec.ErrRet(err)).Err
 	}
-	if fs.fastPath && o.fastAdmit() {
+	if fs.epochMode && o.fastAdmit() {
 		// One up-front check covers the whole fast path: the lockless
 		// walk takes no recorded locks, so an abort here unwinds nothing,
 		// and a read-only session outside any critical section can never
@@ -197,7 +197,7 @@ func (fs *FS) Read(ctx context.Context, path string, off int64, dst []byte) (int
 	if err != nil {
 		return 0, o.end(spec.ErrRet(err)).Err
 	}
-	if fs.fastPath && o.fastAdmit() {
+	if fs.epochMode && o.fastAdmit() {
 		// See Stat for why one up-front check suffices on the fast path.
 		if err := o.cancelled(); err != nil {
 			return 0, o.end(spec.ErrRet(err)).Err
@@ -299,7 +299,7 @@ func (fs *FS) Readdir(ctx context.Context, path string) ([]string, error) {
 	if err != nil {
 		return nil, o.end(spec.ErrRet(err)).Err
 	}
-	if fs.fastPath && o.fastAdmit() {
+	if fs.epochMode && o.fastAdmit() {
 		// See Stat for why one up-front check suffices on the fast path.
 		if err := o.cancelled(); err != nil {
 			return nil, o.end(spec.ErrRet(err)).Err
@@ -451,10 +451,10 @@ func (fs *FS) Rename(ctx context.Context, src, dst string) error {
 		if dnode != snode {
 			o.detachBegin(dnode)
 		}
-		o.dirDelete(ddir, dn)
+		ddir.dir.Delete(dn)
 		dnode.ref.unlinked.Store(true) // §5.4: open descriptors keep it alive
 	}
-	o.dirDelete(sdir, sn)
+	sdir.dir.Delete(sn)
 	ddir.dir.Insert(dn, snode)
 	o.renameLP() // ▶ LP: linothers(t); RENAME ◀
 	if dnode != nil && dnode != snode {
@@ -464,7 +464,7 @@ func (fs *FS) Rename(ctx context.Context, src, dst string) error {
 	o.mutEnd()
 	o.unlockSet(snode, dnode, sdir, ddir)
 	if dnode != nil && dnode != sdir {
-		fs.maybeFree(dnode)
+		fs.maybeFree(o, dnode)
 	}
 	return o.end(spec.OkRet()).Err
 }

@@ -1,4 +1,4 @@
-// Prefix cache: the write-path analogue of PR 1's read fast path, in the
+// Prefix cache: the write-path analogue of the lockless read path, in the
 // style of Linux's ref-walk/rcu-walk split. A resolved directory chain
 // root → a → b → c is cached with each node's detach generation stamped
 // at the moment that node's lock was held during a coupled walk. A later

@@ -22,11 +22,11 @@ func TestPrefixFunctional(t *testing.T) {
 }
 
 func TestPrefixDifferential(t *testing.T) {
-	for _, fast := range []bool{false, true} {
+	for _, epoch := range []bool{false, true} {
 		for seed := int64(1); seed <= 4; seed++ {
 			opts := []Option{WithPrefixCache()}
-			if fast {
-				opts = append(opts, WithFastPath())
+			if epoch {
+				opts = append(opts, WithEpoch())
 			}
 			fstest.Differential(t, New(opts...), seed, 800)
 		}
@@ -260,9 +260,6 @@ func TestPrefixGenParity(t *testing.T) {
 // tables.
 func TestPrefixName(t *testing.T) {
 	if got := New(WithPrefixCache()).Name(); got != "atomfs-prefix" {
-		t.Fatalf("Name() = %q", got)
-	}
-	if got := New(WithPrefixCache(), WithFastPath()).Name(); got != "atomfs-fastpath-prefix" {
 		t.Fatalf("Name() = %q", got)
 	}
 }

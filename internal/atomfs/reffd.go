@@ -66,7 +66,7 @@ func (fd *RefFD) Close() error {
 		return fserr.ErrBadFD
 	}
 	fd.n.ref.refs.Add(-1)
-	fd.fs.maybeFree(fd.n)
+	fd.fs.maybeFree(nil, fd.n)
 	return nil
 }
 
@@ -170,8 +170,9 @@ func (fd *RefFD) Unlinked() bool { return fd.n.ref.unlinked.Load() }
 // maybeFree reclaims a node's storage once it is unlinked and unpinned.
 // Pins only happen on reachable nodes and unlink happens under the
 // node's lock, so refs cannot rise after unlinked is set; the CAS makes
-// reclamation idempotent under concurrent Close calls.
-func (fs *FS) maybeFree(n *node) {
+// reclamation idempotent under concurrent Close calls. o is the
+// operation that unlinked n, or nil from RefFD.Close.
+func (fs *FS) maybeFree(o *op, n *node) {
 	if n.ref.unlinked.Load() && n.ref.refs.Load() == 0 &&
 		n.ref.freed.CompareAndSwap(false, true) {
 		if fs.epochMode {
@@ -179,7 +180,12 @@ func (fs *FS) maybeFree(n *node) {
 			// an unlinked node's blocks may still be read by a reader
 			// pinned before the unlink. Retire the reclaim instead of
 			// running it: it executes only after two grace periods, when
-			// no such reader can survive (internal/epoch).
+			// no such reader can survive (internal/epoch). This is the
+			// only retire: a detached directory entry needs none, because
+			// the GC keeps it reachable for any reader still holding it.
+			if o != nil {
+				o.fire(HookEpochRetire, "", n.ino)
+			}
 			fs.edom.Retire(func() { fs.reclaim(n) })
 			return
 		}

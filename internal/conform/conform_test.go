@@ -12,13 +12,18 @@ import (
 	"repro/internal/slowfs"
 )
 
+// served is the served configuration: the lockless read fast path (epoch
+// reads) plus the prefix cache. The "atomfs-fastpath" variants below run
+// it.
+var served = []atomfs.Option{atomfs.WithEpoch(), atomfs.WithPrefixCache()}
+
 // TestAllVariantsConform runs the full catalogue against every file system
 // implementation; only the unsupported-feature probes may fail.
 func TestAllVariantsConform(t *testing.T) {
 	variants := map[string]func() fsapi.FS{
 		"atomfs":          func() fsapi.FS { return atomfs.New() },
 		"atomfs-biglock":  func() fsapi.FS { return atomfs.New(atomfs.WithBigLock()) },
-		"atomfs-fastpath": func() fsapi.FS { return atomfs.New(atomfs.WithFastPath()) },
+		"atomfs-fastpath": func() fsapi.FS { return atomfs.New(served...) },
 		"memfs":           func() fsapi.FS { return memfs.New() },
 		"retryfs":         func() fsapi.FS { return retryfs.New() },
 		"slowfs":          func() fsapi.FS { return slowfs.NewWithCost(memfs.New(), 10, 1) },
@@ -40,7 +45,7 @@ func TestAllVariantsConform(t *testing.T) {
 }
 
 // TestMonitoredAtomFSConforms runs the catalogue on a monitored AtomFS —
-// with and without the lockless fast path — and requires zero CRL-H
+// plain, and in the served configuration — and requires zero CRL-H
 // violations across every case.
 func TestMonitoredAtomFSConforms(t *testing.T) {
 	for _, tc := range []struct {
@@ -48,7 +53,7 @@ func TestMonitoredAtomFSConforms(t *testing.T) {
 		opts []atomfs.Option
 	}{
 		{"atomfs-monitored", nil},
-		{"atomfs-fastpath-monitored", []atomfs.Option{atomfs.WithFastPath()}},
+		{"atomfs-fastpath-monitored", served},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

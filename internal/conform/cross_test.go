@@ -20,7 +20,7 @@ func TestCrossVolumeConform(t *testing.T) {
 	variants := map[string]func() fsapi.FS{
 		"atomfs":          func() fsapi.FS { return atomfs.New() },
 		"atomfs-biglock":  func() fsapi.FS { return atomfs.New(atomfs.WithBigLock()) },
-		"atomfs-fastpath": func() fsapi.FS { return atomfs.New(atomfs.WithFastPath()) },
+		"atomfs-fastpath": func() fsapi.FS { return atomfs.New(served...) },
 		"atomfs-prefix":   func() fsapi.FS { return atomfs.New(atomfs.WithPrefixCache()) },
 		"atomfs-epoch":    func() fsapi.FS { return atomfs.New(atomfs.WithEpoch()) },
 		"memfs":           func() fsapi.FS { return memfs.New() },
@@ -51,7 +51,7 @@ func TestCrossVolumeMonitoredConforms(t *testing.T) {
 		opts []atomfs.Option
 	}{
 		{"atomfs-monitored", nil},
-		{"atomfs-fastpath-monitored", []atomfs.Option{atomfs.WithFastPath()}},
+		{"atomfs-fastpath-monitored", served},
 		{"atomfs-prefix-monitored", []atomfs.Option{atomfs.WithPrefixCache()}},
 	} {
 		tc := tc

@@ -19,13 +19,19 @@ import (
 // must agree step by step), the journal is then recovered from the
 // device alone, a fresh AtomFS is rebuilt from the recovered state, and
 // the rebuilt file system must remain indistinguishable from memfs on a
-// further identical stream — recovery is semantically invisible.
+// further identical stream — recovery is semantically invisible. It runs
+// on plain atomfs and on the served configuration.
 func TestRecoveredAtomFSDifferentialMemFS(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { recoveredDifferential(t) })
+	t.Run("served", func(t *testing.T) { recoveredDifferential(t, served...) })
+}
+
+func recoveredDifferential(t *testing.T, opts ...atomfs.Option) {
 	ctx := context.Background()
 	dev := wal.NewDevice(block.NewStore(8192), 0)
 	l := wal.NewLog(dev, wal.Config{CheckpointEvery: 32})
 	mon := core.NewMonitor(core.Config{CheckGoodAFS: true})
-	afs := atomfs.New(atomfs.WithMonitor(mon), atomfs.WithJournal(l))
+	afs := atomfs.New(append([]atomfs.Option{atomfs.WithMonitor(mon), atomfs.WithJournal(l)}, opts...)...)
 	mfs := memfs.New()
 
 	stream := fstest.NewOpStream(7)
@@ -40,6 +46,9 @@ func TestRecoveredAtomFSDifferentialMemFS(t *testing.T) {
 	if err := mon.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
+	if vs := mon.Violations(); len(vs) != 0 {
+		t.Fatalf("violations on journaled fs: %v", vs)
+	}
 
 	recovered, info, err := wal.Recover(dev, nil)
 	if err != nil {
@@ -50,7 +59,7 @@ func TestRecoveredAtomFSDifferentialMemFS(t *testing.T) {
 	}
 
 	m2 := core.NewMonitor(core.Config{CheckGoodAFS: true})
-	rebuilt := atomfs.New(atomfs.WithMonitor(m2))
+	rebuilt := atomfs.New(append([]atomfs.Option{atomfs.WithMonitor(m2)}, opts...)...)
 	for _, e := range trace.FromState(recovered) {
 		if ret := fstest.ApplyFS(ctx, rebuilt, e.Op, e.Args); ret.Err != nil {
 			t.Fatalf("rebuild %s: %v", e.Format(), ret.Err)

@@ -87,6 +87,7 @@ type Domain struct {
 
 	mu      sync.Mutex
 	records []*Record
+	spare   []*Record // unregistered records, quiescent, awaiting reuse
 	// limbo[e%3] holds the deferred frees retired during epoch e. Three
 	// buckets are enough: garbage can only exist for the current epoch
 	// and the two before it (older buckets were freed by the advance
@@ -117,15 +118,30 @@ func NewDomain() *Domain {
 	return d
 }
 
-// Register allocates a new padded Record in the domain. Records are
-// never unregistered; callers bound their number by pooling (one per
-// concurrent reader at peak, not one per operation).
+// Register hands out a padded Record in the domain: one returned by
+// Unregister if any, else a new one. Callers bound the count by pooling
+// (one per concurrent reader at peak, not one per operation) and by
+// returning the records their pool drops.
 func (d *Domain) Register() *Record {
-	r := &Record{}
 	d.mu.Lock()
+	defer d.mu.Unlock()
+	if n := len(d.spare); n > 0 {
+		r := d.spare[n-1]
+		d.spare = d.spare[:n-1]
+		return r
+	}
+	r := &Record{}
 	d.records = append(d.records, r)
-	d.mu.Unlock()
 	return r
+}
+
+// Unregister gives back a quiescent record for a later Register to reuse.
+// It stays in the advance scan (unpinned, so it never blocks an advance),
+// which keeps that scan lock-free of list surgery.
+func (d *Domain) Unregister(r *Record) {
+	d.mu.Lock()
+	d.spare = append(d.spare, r)
+	d.mu.Unlock()
 }
 
 // Epoch returns the current global epoch.

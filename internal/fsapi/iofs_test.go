@@ -62,7 +62,7 @@ func TestIOFSMemfs(t *testing.T) {
 
 func TestIOFSAtomFS(t *testing.T) {
 	ctx := context.Background()
-	fs := atomfs.New(atomfs.WithFastPath())
+	fs := atomfs.New(atomfs.WithEpoch(), atomfs.WithPrefixCache())
 	expected := buildTree(ctx, t, fs)
 	if err := fstest.TestFS(fsapi.NewIOFS(ctx, fs), expected...); err != nil {
 		t.Fatal(err)

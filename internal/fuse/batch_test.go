@@ -25,7 +25,7 @@ import (
 // complete sorted listing across pages.
 func TestReaddirPaginates(t *testing.T) {
 	ctx := context.Background()
-	client, srv := Pipe(atomfs.New(atomfs.WithFastPath()))
+	client, srv := Pipe(atomfs.New(atomfs.WithEpoch(), atomfs.WithPrefixCache()))
 	defer srv.Close()
 	defer client.Close()
 	if err := client.Mkdir(ctx, "/big"); err != nil {
@@ -58,7 +58,7 @@ func TestReaddirPaginates(t *testing.T) {
 // short reads at EOF, and overlapping extents.
 func TestReadvWire(t *testing.T) {
 	ctx := context.Background()
-	client, srv := Pipe(atomfs.New(atomfs.WithFastPath()))
+	client, srv := Pipe(atomfs.New(atomfs.WithEpoch(), atomfs.WithPrefixCache()))
 	defer srv.Close()
 	defer client.Close()
 	if err := client.Mknod(ctx, "/f"); err != nil {
@@ -103,7 +103,7 @@ func TestReadvWire(t *testing.T) {
 func TestServerRejectsWireCaps(t *testing.T) {
 	ctx := context.Background()
 	reg := obs.NewRegistry()
-	srv := NewServer(atomfs.New(atomfs.WithFastPath()))
+	srv := NewServer(atomfs.New(atomfs.WithEpoch(), atomfs.WithPrefixCache()))
 	srv.SetObs(reg)
 	c1, c2 := net.Pipe()
 	go srv.ServeConn(c2)
@@ -165,7 +165,7 @@ func TestServerRejectsWireCaps(t *testing.T) {
 func TestClientCloseMidBatch(t *testing.T) {
 	ctx := context.Background()
 	before := runtime.NumGoroutine()
-	client, srv := Pipe(atomfs.New(atomfs.WithFastPath()))
+	client, srv := Pipe(atomfs.New(atomfs.WithEpoch(), atomfs.WithPrefixCache()))
 	if err := client.Mkdir(ctx, "/d"); err != nil {
 		t.Fatal(err)
 	}

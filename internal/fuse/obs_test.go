@@ -21,7 +21,7 @@ import (
 // so the dispatch loop observes the instruments from its first request.
 func obsPipe(t *testing.T, reg *obs.Registry) (*Client, *Server) {
 	t.Helper()
-	fs := atomfs.New(atomfs.WithFastPath(), atomfs.WithObs(reg))
+	fs := atomfs.New(atomfs.WithEpoch(), atomfs.WithPrefixCache(), atomfs.WithObs(reg))
 	srv := NewServer(fs)
 	srv.SetObs(reg)
 	c1, c2 := net.Pipe()
@@ -171,10 +171,10 @@ func TestServerGaugesSettle(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				client.Stat(tctx, "/f")       //nolint:errcheck
+				client.Stat(tctx, "/f")                 //nolint:errcheck
 				fsapi.ReadAll(tctx, client, "/f", 0, 1) //nolint:errcheck
-				client.Readdir(tctx, "/")     //nolint:errcheck
-				client.Stat(tctx, "/missing") //nolint:errcheck // error replies count too
+				client.Readdir(tctx, "/")               //nolint:errcheck
+				client.Stat(tctx, "/missing")           //nolint:errcheck // error replies count too
 			}
 		}()
 	}

@@ -9,18 +9,13 @@
 //
 // The package also provides SeqCount, a sequence counter in the style of the
 // Linux kernel's rename_lock seqlock, used by the traversal-retry baseline
-// file system (internal/retryfs).
+// file system (internal/retryfs) and by atomfs's lockless read path.
 package ilock
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// osyield hands the processor to another goroutine between backoff
-// bursts. A variable so tests can count yields.
-var osyield = runtime.Gosched
 
 // NoOwner is the owner value of an unlocked Mutex. Real owner IDs must be
 // non-zero.
@@ -105,9 +100,7 @@ func (s *SeqCount) Read() uint64 {
 }
 
 // ReadRetries is Read plus the number of spins it took to observe a
-// stable (even) count — the seqlock retry pressure a reader experienced,
-// which the observability layer accumulates to explain fast-path
-// fallback storms.
+// stable (even) count — the seqlock retry pressure a reader experienced.
 func (s *SeqCount) ReadRetries() (uint64, int) {
 	spins := 0
 	for {
@@ -119,36 +112,9 @@ func (s *SeqCount) ReadRetries() (uint64, int) {
 	}
 }
 
-// ReadBounded is ReadRetries with a spin budget: it returns ok=false if
-// the count stayed odd (a write section open) for budget consecutive
-// observations. Waiting is exponential-backoff shaped — the reader spins
-// a short burst, then yields the processor with doubling burst lengths —
-// so a reader stuck behind a slow writer stops burning a core and the
-// caller can fall back to its locked path instead. budget <= 0 means a
-// single observation.
-func (s *SeqCount) ReadBounded(budget int) (v uint64, spins int, ok bool) {
-	burst := 4 // spin this many times before the first yield
-	for {
-		v := s.seq.Load()
-		if v%2 == 0 {
-			return v, spins, true
-		}
-		spins++
-		if spins >= budget {
-			return 0, spins, false
-		}
-		if spins >= burst {
-			osyield()
-			if burst < 1<<16 {
-				burst *= 2
-			}
-		}
-	}
-}
-
 // Current returns the sequence value from a single load, with no spin:
-// ok is false when a write section is open (odd count). Epoch-protected
-// readers use this instead of Read/ReadBounded — they never wait for a
+// ok is false when a write section is open (odd count). atomfs's lockless
+// readers use this instead of Read — they never wait for a
 // writer, they either get an even snapshot in one load or fall back
 // immediately, which is what makes their entry wait-free.
 func (s *SeqCount) Current() (v uint64, ok bool) {

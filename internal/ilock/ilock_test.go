@@ -98,32 +98,6 @@ func TestSeqCountReadSkipsWriter(t *testing.T) {
 	}
 }
 
-func TestSeqCountReadBounded(t *testing.T) {
-	var s SeqCount
-	// No writer: stabilizes immediately, no spins.
-	v, spins, ok := s.ReadBounded(8)
-	if !ok || spins != 0 || v%2 != 0 {
-		t.Fatalf("idle ReadBounded = (%d, %d, %v)", v, spins, ok)
-	}
-	if !s.Validate(v) {
-		t.Fatal("bounded read does not validate")
-	}
-	// Writer camped in its section: the budget must bound the loop and
-	// report failure instead of spinning forever.
-	s.Begin()
-	_, spins, ok = s.ReadBounded(8)
-	if ok {
-		t.Fatal("ReadBounded succeeded inside an open write section")
-	}
-	if spins != 8 {
-		t.Fatalf("spent %d spins, budget was 8", spins)
-	}
-	s.End()
-	if _, _, ok := s.ReadBounded(8); !ok {
-		t.Fatal("ReadBounded failed after the section closed")
-	}
-}
-
 func TestSeqCountConcurrent(t *testing.T) {
 	var s SeqCount
 	var mu sync.Mutex // serializes writers

@@ -60,7 +60,7 @@ func TestCrossVolumeMixedHistory(t *testing.T) {
 				mu.Lock()
 				mons = append(mons, mon)
 				mu.Unlock()
-				return atomfs.New(atomfs.WithMonitor(mon), atomfs.WithFastPath())
+				return atomfs.New(atomfs.WithMonitor(mon), atomfs.WithEpoch(), atomfs.WithPrefixCache())
 			})
 			var wg sync.WaitGroup
 			for g := 0; g < 3; g++ {

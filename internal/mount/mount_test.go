@@ -112,8 +112,8 @@ func TestCrossRenameStress(t *testing.T) {
 		core.NewMonitor(core.Config{CheckGoodAFS: true}),
 		core.NewMonitor(core.Config{CheckGoodAFS: true}),
 	}
-	src := atomfs.New(atomfs.WithMonitor(mons[0]), atomfs.WithFastPath(), atomfs.WithPrefixCache())
-	dst := atomfs.New(atomfs.WithMonitor(mons[1]), atomfs.WithFastPath(), atomfs.WithPrefixCache())
+	src := atomfs.New(atomfs.WithMonitor(mons[0]), atomfs.WithEpoch(), atomfs.WithPrefixCache())
+	dst := atomfs.New(atomfs.WithMonitor(mons[1]), atomfs.WithEpoch(), atomfs.WithPrefixCache())
 	ns := New(src)
 	if err := ns.Mount(tctx, "/m", dst); err != nil {
 		t.Fatal(err)

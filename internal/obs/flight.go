@@ -37,11 +37,7 @@ const (
 	// the hold time.
 	EvLockAcq
 	EvLockRel
-	// EvFastAttempt / EvFastHit / EvFastFallback trace the lockless read
-	// fast path. Aux of EvFastFallback is the seqlock spin count observed
-	// while snapshotting (the retry pressure that caused the fallback is
-	// visible as nonzero spins under mutation storms).
-	EvFastAttempt
+	// EvFastHit / EvFastFallback trace the lockless read fast path.
 	EvFastHit
 	EvFastFallback
 	// EvHelp is an external linearization: Tid's Aop was executed by the
@@ -94,7 +90,7 @@ const (
 var eventKindNames = [...]string{
 	EvOpBegin: "op-begin", EvOpEnd: "op-end",
 	EvLockAcq: "lock-acq", EvLockRel: "lock-rel",
-	EvFastAttempt: "fast-attempt", EvFastHit: "fast-hit", EvFastFallback: "fast-fallback",
+	EvFastHit: "fast-hit", EvFastFallback: "fast-fallback",
 	EvHelp: "help", EvLPCommit: "lp-commit", EvRollback: "rollback",
 	EvViolation: "violation", EvAbort: "abort", EvAbortRefused: "abort-refused",
 	EvFuseQueue: "fuse-queue", EvFuseDispatch: "fuse-dispatch", EvFuseReply: "fuse-reply",

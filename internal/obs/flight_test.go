@@ -72,7 +72,7 @@ func TestFlightRecorderRace(t *testing.T) {
 		go func(tid uint64) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				r.Emit(tid, EvFastAttempt, 3, 0, uint64(i))
+				r.Emit(tid, EvFastHit, 3, 0, uint64(i))
 			}
 		}(uint64(w))
 	}

@@ -55,6 +55,18 @@ type CrashSeed struct {
 	// (a write crossing the boundary is torn). Negative = never crash —
 	// the dry run used to discover the write marks.
 	Crash int64
+	// Served runs the program (and the relation check's rebuilt tree)
+	// on the served configuration — the lockless epoch read path plus
+	// the prefix cache — instead of plain lock-coupling atomfs.
+	Served bool
+}
+
+// fsOpts returns the atomfs options for the seed's configuration.
+func (s CrashSeed) fsOpts(opts ...atomfs.Option) []atomfs.Option {
+	if s.Served {
+		opts = append(opts, atomfs.WithEpoch(), atomfs.WithPrefixCache())
+	}
+	return opts
 }
 
 // Clone deep-copies the seed.
@@ -63,6 +75,7 @@ func (s CrashSeed) Clone() CrashSeed {
 		Prog:      append([]trace.Entry(nil), s.Prog...),
 		CkptEvery: s.CkptEvery,
 		Crash:     s.Crash,
+		Served:    s.Served,
 	}
 }
 
@@ -116,7 +129,7 @@ func ExecuteCrash(s CrashSeed) *CrashResult {
 	}
 	l := wal.NewLog(dev, wal.Config{CheckpointEvery: s.CkptEvery})
 	mon := core.NewMonitor(core.Config{CheckGoodAFS: true})
-	fs := atomfs.New(atomfs.WithMonitor(mon), atomfs.WithJournal(l))
+	fs := atomfs.New(s.fsOpts(atomfs.WithMonitor(mon), atomfs.WithJournal(l))...)
 
 	// ref mirrors the journal's shadow: applied in issue order (the run
 	// is sequential, so issue order is linearization order is journal
@@ -190,7 +203,7 @@ func ExecuteCrash(s CrashSeed) *CrashResult {
 	// quiesce it (the monitor checks the relation against its concrete
 	// tree), and compare the rebuilt abstract state structurally.
 	m2 := core.NewMonitor(core.Config{CheckGoodAFS: true})
-	fs2 := atomfs.New(atomfs.WithMonitor(m2))
+	fs2 := atomfs.New(s.fsOpts(atomfs.WithMonitor(m2))...)
 	for _, e := range trace.FromState(recovered) {
 		if ret := fstest.ApplyFS(ctx, fs2, e.Op, e.Args); ret.Err != nil {
 			res.Verdict = "relation"
@@ -296,7 +309,7 @@ type CrashFailure struct {
 // program is stored as thread 0.
 func (f *CrashFailure) Repro(notes []string) *Repro {
 	return &Repro{
-		Seed:      Seed{Threads: [][]trace.Entry{f.Seed.Prog}},
+		Seed:      Seed{Threads: [][]trace.Entry{f.Seed.Prog}, Prefix: f.Seed.Served, Epoch: f.Seed.Served},
 		Mode:      core.ModeHelpers,
 		Journal:   true,
 		CkptEvery: f.Seed.CkptEvery,
@@ -317,8 +330,9 @@ type CrashReport struct {
 // FuzzCrash runs a crash-fuzzing campaign: generate a program, dry-run
 // it to learn the journal's write marks, then crash it at every mark ±1
 // and a sample of interior offsets, for both no-checkpoint and
-// checkpoint-heavy configurations. The first non-clean verdict is
-// shrunk to a minimal program + crash offset.
+// checkpoint-heavy configurations. Programs alternate between plain
+// atomfs and the served configuration (CrashSeed.Served). The first
+// non-clean verdict is shrunk to a minimal program + crash offset.
 func FuzzCrash(cfg CrashFuzzConfig) *CrashReport {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 24
@@ -340,14 +354,15 @@ func FuzzCrash(cfg CrashFuzzConfig) *CrashReport {
 	cadences := []int{0, 3}
 	for time.Now().Before(deadline) && (cfg.MaxRuns == 0 || rep.Runs < cfg.MaxRuns) {
 		prog := RandomCrashProg(rng, cfg.Ops)
+		served := rep.Programs%2 == 1
 		rep.Programs++
 		for _, ck := range cadences {
-			dry := ExecuteCrash(CrashSeed{Prog: prog, CkptEvery: ck, Crash: -1})
+			dry := ExecuteCrash(CrashSeed{Prog: prog, CkptEvery: ck, Crash: -1, Served: served})
 			rep.Runs++
 			if sig := dry.Signature(); sig != "" {
 				// Even the crash-free run misbehaved; report it with the
 				// crash point disabled.
-				rep.Failure = shrinkCrashFailure(CrashSeed{Prog: prog, CkptEvery: ck, Crash: -1}, sig, cfg.ShrinkRuns, rep, logf)
+				rep.Failure = shrinkCrashFailure(CrashSeed{Prog: prog, CkptEvery: ck, Crash: -1, Served: served}, sig, cfg.ShrinkRuns, rep, logf)
 				rep.Elapsed = time.Since(start)
 				return rep
 			}
@@ -355,7 +370,7 @@ func FuzzCrash(cfg CrashFuzzConfig) *CrashReport {
 				if !time.Now().Before(deadline) || (cfg.MaxRuns > 0 && rep.Runs >= cfg.MaxRuns) {
 					break
 				}
-				s := CrashSeed{Prog: prog, CkptEvery: ck, Crash: k}
+				s := CrashSeed{Prog: prog, CkptEvery: ck, Crash: k, Served: served}
 				res := ExecuteCrash(s)
 				rep.Runs++
 				if sig := res.Signature(); sig != "" && sig != "harness" {
@@ -415,7 +430,7 @@ func ShrinkCrash(s CrashSeed, sig string, budget int) (CrashSeed, int) {
 		if spent >= budget {
 			return c, false
 		}
-		dry := ExecuteCrash(CrashSeed{Prog: c.Prog, CkptEvery: c.CkptEvery, Crash: -1})
+		dry := ExecuteCrash(CrashSeed{Prog: c.Prog, CkptEvery: c.CkptEvery, Crash: -1, Served: c.Served})
 		spent++
 		cands := crashCandidates(dry, nil, 0)
 		// Try the inherited offset first — it often survives prefix-only
@@ -428,7 +443,7 @@ func ShrinkCrash(s CrashSeed, sig string, budget int) (CrashSeed, int) {
 				return c, false
 			}
 			spent++
-			if ExecuteCrash(CrashSeed{Prog: c.Prog, CkptEvery: c.CkptEvery, Crash: k}).Signature() == sig {
+			if ExecuteCrash(CrashSeed{Prog: c.Prog, CkptEvery: c.CkptEvery, Crash: k, Served: c.Served}).Signature() == sig {
 				c.Crash = k
 				return c, true
 			}
@@ -444,6 +459,7 @@ func ShrinkCrash(s CrashSeed, sig string, budget int) (CrashSeed, int) {
 				Prog:      append(append([]trace.Entry{}, cur.Prog[:start]...), cur.Prog[start+chunk:]...),
 				CkptEvery: cur.CkptEvery,
 				Crash:     cur.Crash,
+				Served:    cur.Served,
 			}
 			if c2, ok := reproduces(cand); ok {
 				cur = c2

@@ -47,22 +47,25 @@ func TestExecuteCrashCleanDry(t *testing.T) {
 
 // TestCrashSweepMarks crashes the deterministic program at every write
 // mark, one byte before, and one byte after — for the no-checkpoint and
-// checkpoint-heavy configurations — and requires every crash point to
-// recover to a relation-accepted golden prefix state.
+// checkpoint-heavy configurations, on plain atomfs and on the served
+// configuration — and requires every crash point to recover to a
+// relation-accepted golden prefix state.
 func TestCrashSweepMarks(t *testing.T) {
-	for _, ck := range []int{0, 2} {
-		dry := ExecuteCrash(CrashSeed{Prog: crashProg(), CkptEvery: ck, Crash: -1})
-		if dry.Verdict != "" {
-			t.Fatalf("ckpt=%d dry: %s", ck, dry)
-		}
-		cands := crashCandidates(dry, nil, 0)
-		if len(cands) < 2*len(dry.Marks) {
-			t.Fatalf("ckpt=%d: only %d candidates from %d marks", ck, len(cands), len(dry.Marks))
-		}
-		for _, k := range cands {
-			res := ExecuteCrash(CrashSeed{Prog: crashProg(), CkptEvery: ck, Crash: k})
-			if res.Verdict != "" {
-				t.Fatalf("ckpt=%d crash@%d: %s: %s", ck, k, res.Verdict, res.Detail)
+	for _, served := range []bool{false, true} {
+		for _, ck := range []int{0, 2} {
+			dry := ExecuteCrash(CrashSeed{Prog: crashProg(), CkptEvery: ck, Crash: -1, Served: served})
+			if dry.Verdict != "" {
+				t.Fatalf("served=%v ckpt=%d dry: %s", served, ck, dry)
+			}
+			cands := crashCandidates(dry, nil, 0)
+			if len(cands) < 2*len(dry.Marks) {
+				t.Fatalf("served=%v ckpt=%d: only %d candidates from %d marks", served, ck, len(cands), len(dry.Marks))
+			}
+			for _, k := range cands {
+				res := ExecuteCrash(CrashSeed{Prog: crashProg(), CkptEvery: ck, Crash: k, Served: served})
+				if res.Verdict != "" {
+					t.Fatalf("served=%v ckpt=%d crash@%d: %s: %s", served, ck, k, res.Verdict, res.Detail)
+				}
 			}
 		}
 	}

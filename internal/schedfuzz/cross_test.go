@@ -51,7 +51,7 @@ func TestCrossCommitClean(t *testing.T) {
 	for _, v := range fsVariants {
 		for rng := int64(0); rng < 8; rng++ {
 			s := crossCommitSeed()
-			s.FastPath, s.Prefix = v.fast, v.prefix
+			s.Epoch, s.Prefix = v.epoch, v.prefix
 			res := ExecuteCross(s, Options{Mode: core.ModeHelpers, RNG: rng, StallTimeout: testStall})
 			if res.HarnessErr != nil {
 				t.Fatalf("%+v rng=%d: harness: %v", v, rng, res.HarnessErr)
@@ -80,7 +80,7 @@ func TestCrossAbortClean(t *testing.T) {
 	for _, v := range fsVariants {
 		for rng := int64(0); rng < 8; rng++ {
 			s := crossAbortSeed()
-			s.FastPath, s.Prefix = v.fast, v.prefix
+			s.Epoch, s.Prefix = v.epoch, v.prefix
 			res := ExecuteCross(s, Options{Mode: core.ModeHelpers, RNG: rng, StallTimeout: testStall})
 			if res.HarnessErr != nil {
 				t.Fatalf("%+v rng=%d: harness: %v", v, rng, res.HarnessErr)
@@ -102,7 +102,7 @@ func TestCrossAbortClean(t *testing.T) {
 func TestCrossDeterministicReplay(t *testing.T) {
 	for i, mk := range []func() Seed{crossCommitSeed, crossAbortSeed} {
 		s := mk()
-		s.FastPath, s.Prefix = true, true
+		s.Epoch, s.Prefix = true, true
 		opts := Options{Mode: core.ModeHelpers, RNG: int64(31 + i), StallTimeout: testStall}
 		first := ExecuteCross(s, opts)
 		if first.HarnessErr != nil {
@@ -125,7 +125,7 @@ func TestCrossRandomSweep(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 24; i++ {
 		v := fsVariants[i%len(fsVariants)]
-		s := RandomCrossSeed(r, 3, 3, v.fast, v.prefix, i%8 >= 4, 0.2)
+		s := RandomCrossSeed(r, 3, 3, v.prefix, v.epoch, 0.2)
 		res := ExecuteCross(s, Options{Mode: core.ModeHelpers, RNG: int64(i), StallTimeout: testStall})
 		if res.HarnessErr != nil {
 			t.Fatalf("sweep %d %+v: harness: %v\nseed: %s", i, v, res.HarnessErr, DescribeSeed(s))

@@ -18,7 +18,8 @@ import (
 //
 //	# schedfuzz repro v1
 //	mode fixedlp
-//	fastpath off
+//	prefix off
+//	epoch off
 //	unsafe off
 //	rng 42
 //	expect refinement
@@ -86,7 +87,9 @@ func (r *Repro) ReplayCrash() (*CrashResult, error) {
 	if len(r.Seed.Threads) > 0 {
 		prog = r.Seed.Threads[0]
 	}
-	res := ExecuteCrash(CrashSeed{Prog: prog, CkptEvery: r.CkptEvery, Crash: r.Crash})
+	// A crash repro runs either plain atomfs or the served configuration;
+	// the epoch directive (which the writer ties to prefix) selects it.
+	res := ExecuteCrash(CrashSeed{Prog: prog, CkptEvery: r.CkptEvery, Crash: r.Crash, Served: r.Seed.Epoch})
 	if got := res.Signature(); got != r.Expect {
 		return res, fmt.Errorf("schedfuzz: crash replay signature %q, repro expects %q: %s",
 			got, r.Expect, res.Detail)
@@ -118,7 +121,6 @@ func WriteRepro(w io.Writer, r *Repro) error {
 		}
 	}
 	fmt.Fprintf(bw, "mode %s\n", modeName(r.Mode))
-	fmt.Fprintf(bw, "fastpath %s\n", onoff(r.Seed.FastPath))
 	fmt.Fprintf(bw, "prefix %s\n", onoff(r.Seed.Prefix))
 	fmt.Fprintf(bw, "epoch %s\n", onoff(r.Seed.Epoch))
 	fmt.Fprintf(bw, "unsafe %s\n", onoff(r.Unsafe))
@@ -187,7 +189,7 @@ func ParseRepro(rd io.Reader) (*Repro, error) {
 			default:
 				return nil, fail("unknown mode %q", rest)
 			}
-		case "fastpath", "prefix", "epoch", "unsafe", "cross", "journal":
+		case "prefix", "epoch", "unsafe", "cross", "journal":
 			// Older repros predate the prefix, epoch, cross and journal
 			// directives; absence means off.
 			on := rest == "on"
@@ -195,8 +197,6 @@ func ParseRepro(rd io.Reader) (*Repro, error) {
 				return nil, fail("%s wants on|off, got %q", dir, rest)
 			}
 			switch dir {
-			case "fastpath":
-				r.Seed.FastPath = on
 			case "prefix":
 				r.Seed.Prefix = on
 			case "epoch":

@@ -12,8 +12,7 @@
 //
 // The scheduler predicts blocking instead of discovering it: an attempt
 // to lock an inode held by another (parked) worker is never granted, and
-// a fast-path read is never granted into an open seqlock write section
-// (where SeqCount.ReadRetries would spin forever under serialization).
+// a mutator is never granted into another's open seqlock write section.
 // If every parked worker is predicted blocked, that is a genuine lock
 // cycle and is reported as a deadlock finding.
 package schedfuzz
@@ -133,7 +132,6 @@ const (
 	parkOpStart                     // about to start its next op; always runnable
 	parkLockAttempt                 // about to lock arrival.ino; blocked while held
 	parkSeqAttempt                  // about to open the seqlock write section
-	parkFastSnap                    // about to snapshot the seqlock; blocked while a section is open
 )
 
 // arrival is one worker event: either a park (worker stopped at a yield
@@ -182,11 +180,6 @@ type harness struct {
 	current  *workerState
 	workers  []*workerState
 	faults   map[faultKey]*Fault
-	// epoch mirrors the seed's Epoch flag: under epoch-based reclamation
-	// a fast-path read that snapshots into an open write section falls
-	// back wait-free instead of spinning, so parkFastSnap arrivals stay
-	// runnable and the writer-inflight fallback is actually explored.
-	epoch    bool
 	draining atomic.Bool
 	drain    sync.Once
 	violated atomic.Bool
@@ -223,8 +216,6 @@ func (h *harness) hookFor(vol int) func(atomfs.HookEvent) {
 			k = parkLockAttempt
 		case atomfs.HookSeqAttempt:
 			k = parkSeqAttempt
-		case atomfs.HookFastSnap:
-			k = parkFastSnap
 		}
 		ino := ev.Ino
 		if ino != 0 {
@@ -295,11 +286,10 @@ func (h *harness) runWorker(ws *workerState, prog []trace.Entry) {
 }
 
 // blocked predicts whether granting this parked worker would block it
-// inside atomfs (deadlocking the serialized run). Under epoch-based
-// reclamation the fast path reads the seqlock once and falls back on an
-// odd count, so a snapshot into an open write section cannot spin and
-// is granted freely.
-func blocked(a arrival, owner map[spec.Inum]int, seqOwner map[int]int, epoch bool) bool {
+// inside atomfs (deadlocking the serialized run). A fast-path read loads
+// the seqlock once and falls back on an odd count, so its snapshot never
+// waits and is granted freely.
+func blocked(a arrival, owner map[spec.Inum]int, seqOwner map[int]int) bool {
 	switch a.kind {
 	case parkLockAttempt:
 		_, held := owner[a.ino]
@@ -307,12 +297,6 @@ func blocked(a arrival, owner map[spec.Inum]int, seqOwner map[int]int, epoch boo
 	case parkSeqAttempt:
 		_, open := seqOwner[a.vol]
 		return open
-	case parkFastSnap:
-		// ReadRetries spins while the write section is open; granting a
-		// snapshot mid-section would hang the single-runner schedule —
-		// unless epoch mode's single-load Current() check is in force.
-		_, open := seqOwner[a.vol]
-		return open && !epoch
 	}
 	return false
 }
@@ -358,7 +342,7 @@ func (h *harness) schedule(d *decider, res *RunResult, stall time.Duration) {
 		if !stopped && len(parked) == alive {
 			var runnable []int
 			for w := range parked {
-				if !blocked(parked[w], owner, seqOwner, h.epoch) {
+				if !blocked(parked[w], owner, seqOwner) {
 					runnable = append(runnable, w)
 				}
 			}
@@ -486,14 +470,10 @@ func Execute(seed Seed, opts Options) *RunResult {
 		atomfs.WithObs(reg),
 		atomfs.WithObsSampleEvery(1),
 	}
-	if seed.FastPath {
-		fsOpts = append(fsOpts, atomfs.WithFastPath())
-	}
 	if seed.Prefix {
 		fsOpts = append(fsOpts, atomfs.WithPrefixCache())
 	}
 	if seed.Epoch {
-		h.epoch = true
 		fsOpts = append(fsOpts, atomfs.WithEpoch())
 	}
 	if opts.Unsafe {

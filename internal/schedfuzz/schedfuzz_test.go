@@ -28,9 +28,9 @@ const testStall = 5 * time.Second
 // The engine's core guarantee: a run replayed from its recorded decision
 // string (same options) is bit-identical — signature, grant count,
 // consumed schedule, and coverage all match.
-// fsVariants enumerates the fast-path × prefix-cache combinations the
-// engine tests cover.
-var fsVariants = []struct{ fast, prefix bool }{
+// fsVariants enumerates the epoch-read-path × prefix-cache combinations
+// the engine tests cover; {true, true} is the served configuration.
+var fsVariants = []struct{ epoch, prefix bool }{
 	{false, false}, {true, false}, {false, true}, {true, true},
 }
 
@@ -38,7 +38,7 @@ func TestDeterministicReplay(t *testing.T) {
 	seeds := scenario.FuzzSeeds()
 	for i, threads := range seeds {
 		for _, v := range fsVariants {
-			s := Seed{Threads: threads, FastPath: v.fast, Prefix: v.prefix}
+			s := Seed{Threads: threads, Epoch: v.epoch, Prefix: v.prefix}
 			if i == 0 {
 				s.Faults = []Fault{{Thread: 0, OpIdx: 1, Yield: 3, Kind: FaultCancel}}
 			}
@@ -64,13 +64,13 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 // Under the correct mode (helpers, safe traversal) the adversarial
-// scenario seeds must execute clean across many schedules, fast path on
-// and off — the fuzzer's false-positive guard.
+// scenario seeds must execute clean across many schedules, lockless
+// reads on and off — the fuzzer's false-positive guard.
 func TestCleanHelpersSeeds(t *testing.T) {
 	for i, threads := range scenario.FuzzSeeds() {
 		for _, v := range fsVariants {
 			for rng := int64(0); rng < 8; rng++ {
-				s := Seed{Threads: threads, FastPath: v.fast, Prefix: v.prefix}
+				s := Seed{Threads: threads, Epoch: v.epoch, Prefix: v.prefix}
 				res := Execute(s, Options{Mode: core.ModeHelpers, RNG: rng, StallTimeout: testStall})
 				if res.HarnessErr != nil {
 					t.Fatalf("seed %d %+v rng=%d: harness: %v", i, v, rng, res.HarnessErr)
@@ -88,7 +88,7 @@ func TestCleanHelpersSeeds(t *testing.T) {
 // (HookFastLock fires before its acquire; claiming ownership at arrival
 // made the worker block on itself).
 func TestSingleFastStatClean(t *testing.T) {
-	s := Seed{Threads: [][]trace.Entry{{entry(spec.OpStat, "/a/f0")}}, FastPath: true}
+	s := Seed{Threads: [][]trace.Entry{{entry(spec.OpStat, "/a/f0")}}, Epoch: true}
 	for rng := int64(0); rng < 4; rng++ {
 		res := Execute(s, Options{RNG: rng, StallTimeout: testStall})
 		if sig := res.Signature(); sig != "" {
@@ -130,11 +130,11 @@ func TestFaultInjection(t *testing.T) {
 // the same signature (the shrinker's preservation property).
 func TestFixedLPModeIsCaught(t *testing.T) {
 	rep := Fuzz(FuzzConfig{
-		Budget:   60 * time.Second,
-		MaxRuns:  300,
-		Seed:     2,
-		Mode:     core.ModeFixedLP,
-		FastPath: "off",
+		Budget:  60 * time.Second,
+		MaxRuns: 300,
+		Seed:    2,
+		Mode:    core.ModeFixedLP,
+		Epoch:   "off",
 	})
 	if rep.Failure == nil {
 		t.Fatalf("fixed-LP campaign came up clean after %d runs", rep.Runs)
@@ -163,7 +163,7 @@ func TestShrinkPreservesSignature(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	checked := 0
 	for i := 0; i < 40 && checked < 5; i++ {
-		cand := Mutate(golden.Seed.Clone(), r, false, false, false)
+		cand := Mutate(golden.Seed.Clone(), r, false, false)
 		opts := golden.Options()
 		opts.RNG = int64(i)
 		opts.StallTimeout = testStall
@@ -192,10 +192,10 @@ func TestReproRoundTrip(t *testing.T) {
 				{entry(spec.OpStat, "/a/f0"), entry(spec.OpRename, "/a", "/d")},
 				{entry(spec.OpMkdir, "/c/x")},
 			},
-			Faults:   []Fault{{Thread: 1, OpIdx: 0, Yield: 4, Kind: FaultTransient}},
-			Sched:    []byte{0, 3, 255, 17, 0, 1},
-			FastPath: true,
-			Prefix:   true,
+			Faults: []Fault{{Thread: 1, OpIdx: 0, Yield: 4, Kind: FaultTransient}},
+			Sched:  []byte{0, 3, 255, 17, 0, 1},
+			Prefix: true,
+			Epoch:  true,
 		},
 		Mode:   core.ModeFixedLP,
 		Unsafe: false,
@@ -377,7 +377,7 @@ func TestGoldenEpochUnlinkRepro(t *testing.T) {
 // demonstration mode and these adversarial shapes rightly convict it.)
 func TestEpochScenarioSeedsClean(t *testing.T) {
 	for i, threads := range scenario.FuzzSeeds() {
-		s := Seed{Threads: threads, FastPath: true, Prefix: true, Epoch: true}
+		s := Seed{Threads: threads, Prefix: true, Epoch: true}
 		for rng := int64(0); rng < 10; rng++ {
 			res := Execute(s, Options{Mode: core.ModeHelpers, RNG: rng})
 			if sig := res.Signature(); sig != "" {

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/atomfs"
@@ -118,10 +119,27 @@ func runSchedule(p Pair, k int) (bool, bool, error) {
 	// counter needs a lock; parking blocks outside it.
 	var hookMu sync.Mutex
 	seen := 0
+	// When A blocks behind B's parked locks, B resumes and must finish
+	// before A takes another step: the schedule's one preemption (B to
+	// A) is spent, so A may not overtake B again once it gets the lock.
+	// bTid is B's tid (its first event precedes A's start); holdA gates
+	// A's hook events on bFinished. The wait is bounded in case B ever
+	// needed a lock A holds.
+	var bTid atomic.Uint64
+	var holdA atomic.Bool
+	bFinished := make(chan struct{})
 	fs.SetHook(func(ev atomfs.HookEvent) {
+		if holdA.Load() && ev.Tid != bTid.Load() {
+			select {
+			case <-bFinished:
+			case <-time.After(time.Second):
+			}
+			return
+		}
 		if ev.Op != p.B.Op {
 			return
 		}
+		bTid.CompareAndSwap(0, ev.Tid)
 		hookMu.Lock()
 		seen++
 		shouldPark := seen == k
@@ -133,7 +151,11 @@ func runSchedule(p Pair, k int) (bool, bool, error) {
 	})
 
 	bDone := make(chan error, 1)
-	go func() { bDone <- p.B.Run(fs) }()
+	go func() {
+		err := p.B.Run(fs)
+		close(bFinished)
+		bDone <- err
+	}()
 	select {
 	case <-parked:
 	case err := <-bDone:
@@ -151,8 +173,9 @@ func runSchedule(p Pair, k int) (bool, bool, error) {
 	case <-aDone:
 	case <-time.After(50 * time.Millisecond):
 		// A is blocked behind B's parked locks; no overlap is possible at
-		// this point. Release B and let both finish.
+		// this point. Release B, let it finish, then A.
 		overlapped = false
+		holdA.Store(true)
 	}
 	close(release)
 	<-bDone

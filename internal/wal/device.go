@@ -63,10 +63,17 @@ type Device struct {
 	// group-commit benchmark sets it to make batching measurable.
 	syncDelay time.Duration
 	syncs     int64
-	// marks records the cumulative written offset after each WriteAt
-	// call — the write-call boundaries a crash fuzzer aims at.
+	// marks records the cumulative written offset after each of the
+	// first maxMarks WriteAt calls — the write-call boundaries a crash
+	// fuzzer aims at.
 	marks []int64
 }
+
+// maxMarks caps the recorded write marks. Crash-fuzz programs issue a
+// few hundred writes at most, so they see every mark; a long-running
+// journaled daemon stops recording after the cap instead of growing
+// 8 bytes per write for its whole life.
+const maxMarks = 4096
 
 // NewDevice wraps store as a journal device. syncDelay is the simulated
 // flush latency (0 for tests).
@@ -97,9 +104,10 @@ func (d *Device) Written() int64 {
 	return d.written
 }
 
-// Marks returns the cumulative write-stream offset after each WriteAt
-// call so far: the exact byte boundaries between journal writes, which
-// the crash fuzzer perturbs by ±1 to synthesize torn and clean cuts.
+// Marks returns the cumulative write-stream offset after each of the
+// first 4096 (maxMarks) WriteAt calls: the exact byte boundaries between
+// journal writes, which the crash fuzzer perturbs by ±1 to synthesize
+// torn and clean cuts. Later writes record no mark.
 func (d *Device) Marks() []int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -135,7 +143,9 @@ func (d *Device) WriteAt(off int64, p []byte) error {
 		return err
 	}
 	d.written += n
-	d.marks = append(d.marks, d.written)
+	if len(d.marks) < maxMarks {
+		d.marks = append(d.marks, d.written)
+	}
 	if d.crashed {
 		return ErrCrashed
 	}

@@ -377,6 +377,28 @@ func TestDeviceCrashSemantics(t *testing.T) {
 	}
 }
 
+// TestDeviceMarksCapped: a device keeps marks for its first maxMarks
+// writes only, so a long-lived journal's crash-model bookkeeping stays
+// bounded; the earlier marks are unchanged and Written keeps counting.
+func TestDeviceMarksCapped(t *testing.T) {
+	dev := newDev(t)
+	for i := 0; i < maxMarks+100; i++ {
+		if err := dev.WriteAt(int64(i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	marks := dev.Marks()
+	if len(marks) != maxMarks {
+		t.Fatalf("recorded %d marks, want the cap %d", len(marks), maxMarks)
+	}
+	if marks[0] != 1 || marks[maxMarks-1] != maxMarks {
+		t.Fatalf("marks = [%d ... %d], want [1 ... %d]", marks[0], marks[maxMarks-1], maxMarks)
+	}
+	if got := dev.Written(); got != maxMarks+100 {
+		t.Fatalf("written = %d, want %d", got, maxMarks+100)
+	}
+}
+
 func TestDeviceTruncateRange(t *testing.T) {
 	dev := newDev(t)
 	buf := make([]byte, 3*block.Size)
