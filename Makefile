@@ -22,11 +22,12 @@ test:
 
 # Race everything, then give the schedule-sensitive code (lockless epoch
 # reads vs rename/unlink storms, lock-free dir.Table readers, the
-# cancellation storms and mid-traversal aborts) extra -race rounds:
-# these are the tests whose schedules vary run to run.
+# cancellation storms and mid-traversal aborts, the fuse server's handler
+# reuse under bursts and teardown) extra -race rounds: these are the
+# tests whose schedules vary run to run.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 -run 'FastPath|Epoch|LockFree|Cancel' ./internal/atomfs ./internal/dir ./internal/fuse
+	$(GO) test -race -count=2 -run 'FastPath|Epoch|LockFree|Cancel|Handler' ./internal/atomfs ./internal/dir ./internal/fuse
 
 # The full verification story: vet + ctxlint, the raced lock-free and
 # cancellation packages, then scenarios, sweeps, stress, explorer.

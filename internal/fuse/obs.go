@@ -1,11 +1,12 @@
 package fuse
 
 // Observability hooks for the daemon loop. A Server with a registry
-// attached (SetObs) counts requests per opcode, tracks queue depth and
-// in-flight handlers as gauges, accumulates wire throughput, and traces
-// every request's queue→dispatch→reply lifecycle into the registry's
-// flight recorder. All instruments are nil-safe, so an uninstrumented
-// Server pays only a nil check per site.
+// attached (SetObs) counts requests per opcode and handler goroutine
+// starts, tracks queue depth and in-flight handlers as gauges,
+// accumulates wire throughput, and traces every request's
+// queue→dispatch→reply lifecycle into the registry's flight recorder.
+// All instruments are nil-safe, so an uninstrumented Server pays only a
+// nil check per site.
 
 import (
 	"sync"
@@ -33,6 +34,9 @@ type srvObs struct {
 	// ratio the net bench suite reports).
 	flushes       *obs.Counter
 	flushedFrames *obs.Counter
+	// handlersSpawned counts handler goroutine starts; against the
+	// request counters it gives the handler reuse ratio.
+	handlersSpawned *obs.Counter
 
 	// Per-tenant instruments, created lazily on first sight of a label
 	// (tenant cardinality is operator-controlled via SetQuota/SetTenant).
@@ -89,6 +93,7 @@ func newSrvObs(reg *obs.Registry) *srvObs {
 		flushes:       reg.Counter("fuse_writer_flushes_total"),
 		flushedFrames: reg.Counter("fuse_writer_frames_total"),
 	}
+	p.handlersSpawned = reg.Counter("atomfs_fuse_handlers_spawned_total")
 	for k := spec.Op(0); int(k) < nOps; k++ {
 		p.requests[k] = reg.Counter(`fuse_requests_total{op="` + k.String() + `"}`)
 	}

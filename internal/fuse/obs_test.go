@@ -112,6 +112,7 @@ func TestDebugEndpointsUnderTraffic(t *testing.T) {
 		`atomfs_ops_total{op="stat"}`,
 		"fuse_request_ns_count",
 		"fuse_conns 1",
+		"atomfs_fuse_handlers_spawned_total",
 		"# TYPE",
 	} {
 		if !strings.Contains(metrics, want) {
@@ -190,7 +191,13 @@ func TestServerGaugesSettle(t *testing.T) {
 	if v := reg.Gauge("fuse_conns").Value(); v != 0 {
 		t.Errorf("fuse_conns = %d after close, want 0", v)
 	}
-	if reg.Counter(`fuse_requests_total{op="stat"}`).Value() == 0 {
+	stats := reg.Counter(`fuse_requests_total{op="stat"}`).Value()
+	if stats == 0 {
 		t.Error("stat requests not counted")
+	}
+	// Eight sequential callers need a handful of handlers, not one per
+	// request: parked handlers serve later requests.
+	if n := spawned(reg); n == 0 || n > stats/10 {
+		t.Errorf("atomfs_fuse_handlers_spawned_total = %d for %d stat requests, want 1..%d", n, stats, stats/10)
 	}
 }

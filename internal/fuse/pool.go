@@ -7,7 +7,10 @@ package fuse
 // handful of power-of-four classes keeps internal fragmentation bounded
 // (a buffer wastes at most 3/4 of its class) without the pool sprawling.
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // bufClasses are the pooled capacities. The largest covers MaxIOSize
 // plus framing slack, so every capped request/reply frame fits a class;
@@ -21,6 +24,9 @@ var bufClasses = [...]int{
 	MaxIOSize + 4096, // full-size I/O plus header slack
 }
 
+// bufPools hold a pointer to each buffer's first byte, not a *[]byte: a
+// pointer is stored in an interface without boxing, so a getBuf/putBuf
+// round trip allocates nothing. The class restores the capacity.
 var bufPools [len(bufClasses)]sync.Pool
 
 // classFor returns the index of the smallest class holding n, or -1 when
@@ -40,8 +46,8 @@ func getBuf(n int) []byte {
 	if ci < 0 {
 		return make([]byte, n)
 	}
-	if p, _ := bufPools[ci].Get().(*[]byte); p != nil {
-		return (*p)[:n]
+	if p, _ := bufPools[ci].Get().(*byte); p != nil {
+		return unsafe.Slice(p, bufClasses[ci])[:n]
 	}
 	return make([]byte, n, bufClasses[ci])
 }
@@ -56,8 +62,7 @@ func putBuf(b []byte) {
 	c := cap(b)
 	for i := range bufClasses {
 		if c == bufClasses[i] {
-			b = b[:c]
-			bufPools[i].Put(&b)
+			bufPools[i].Put(unsafe.SliceData(b[:c]))
 			return
 		}
 	}

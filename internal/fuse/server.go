@@ -8,6 +8,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fsapi"
@@ -16,9 +17,12 @@ import (
 )
 
 // Server dispatches protocol requests to a file system. Each request runs
-// on its own goroutine (bounded by a semaphore), matching FUSE's
+// on its own handler goroutine (bounded by a semaphore), matching FUSE's
 // multi-threaded daemon loop, so independent operations proceed in
-// parallel even over one connection.
+// parallel even over one connection. Like FUSE's worker threads, handlers
+// are pooled per connection: a finished handler parks for the next
+// request, a new one starts only when none is idle, at most maxInflight
+// stay parked, and all have exited when ServeConn returns.
 //
 // Replies do not contend on a write mutex: every connection owns a
 // bounded reply queue drained by a single writer goroutine that coalesces
@@ -150,8 +154,31 @@ func (s *Server) ServeConn(conn net.Conn) {
 	// wrote with one writev drains here in one read syscall instead of
 	// two per frame.
 	br := bufio.NewReaderSize(conn, 64<<10)
+	// Handlers are reused: a finished handler parks on jobs for the next
+	// request instead of exiting, so a monitored, journaled request runs on
+	// a stack an earlier request already grew rather than regrowing a
+	// fresh goroutine's by copying. idle counts handlers parked or about
+	// to park; one that would push it past maxInflight exits instead.
 	var inflight sync.WaitGroup
+	var idle atomic.Int32
+	jobs := make(chan job)
 	sem := make(chan struct{}, s.maxInflight)
+	handler := func(j job) {
+		defer inflight.Done()
+		for {
+			s.serveReq(w, sem, j)
+			if idle.Add(1) > int32(s.maxInflight) {
+				idle.Add(-1)
+				return
+			}
+			var ok bool
+			j, ok = <-jobs
+			idle.Add(-1)
+			if !ok {
+				return
+			}
+		}
+	}
 	for {
 		frame, err := readFrame(br)
 		if err != nil {
@@ -167,52 +194,74 @@ func (s *Server) ServeConn(conn net.Conn) {
 		// semaphore: time spent waiting for an inflight slot counts
 		// against the caller's budget, exactly like time spent in FUSE's
 		// pending queue.
-		reqCtx, reqCancel := ctx, func() {}
+		j := job{req: req, ctx: ctx, cancel: func() {}}
 		if req.TimeoutNs > 0 {
-			reqCtx, reqCancel = context.WithTimeout(ctx, time.Duration(req.TimeoutNs))
+			j.ctx, j.cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutNs))
 		}
-		var queuedNs int64
 		if p != nil {
-			queuedNs = p.queueReq(req, len(frame))
+			j.queuedNs = p.queueReq(req, len(frame))
 		}
-		inflight.Add(1)
-		go func() {
-			defer inflight.Done()
-			defer reqCancel()
-			// Per-tenant admission runs BEFORE the inflight semaphore: a
-			// throttled tenant waits (or is rejected) without holding a
-			// dispatch slot the other tenants could use.
-			if err := s.admit(reqCtx, req); err != nil {
-				if p != nil {
-					p.dispatchReq(req)
-				}
-				s.reply(reqCtx, w, req, &reply{ID: req.ID, Errno: fserr.Errno(err)}, queuedNs)
-				putBuf(req.frame)
-				return
-			}
-			sem <- struct{}{}
-			defer func() { <-sem }()
+		select {
+		case jobs <- j: // a parked handler took it
+		default:
+			inflight.Add(1)
 			if p != nil {
-				p.dispatchReq(req)
+				p.handlersSpawned.Inc(0)
 			}
-			var rep *reply
-			if err := reqCtx.Err(); err != nil {
-				// Admission check: the deadline expired (or the connection
-				// died) while the request sat in the queue. Reject it here,
-				// before it can hold any inode lock.
-				rep = &reply{ID: req.ID, Errno: fserr.Errno(err)}
-			} else {
-				rep = s.handle(reqCtx, req)
-			}
-			// The handler is done with the request's payload; the reply
-			// owns only pooled buffers of its own.
-			putBuf(req.frame)
-			req.frame = nil
-			s.reply(reqCtx, w, req, rep, queuedNs)
-		}()
+			go handler(j)
+		}
 	}
 	cancel() // connection gone: abort every in-flight request
+	close(jobs)
 	inflight.Wait()
+}
+
+// job is one decoded request on its way from a connection's read loop to
+// a handler: the request, its context (with the wire deadline, if any)
+// and that context's cancel, and the obs queue timestamp.
+type job struct {
+	req      *request
+	ctx      context.Context
+	cancel   context.CancelFunc
+	queuedNs int64
+}
+
+// serveReq runs one request on the calling handler goroutine: tenant
+// admission, the inflight semaphore, the expired-deadline rejection, then
+// the file system and the reply.
+func (s *Server) serveReq(w *frameWriter, sem chan struct{}, j job) {
+	defer j.cancel()
+	p, req, reqCtx := s.obs, j.req, j.ctx
+	// Per-tenant admission runs BEFORE the inflight semaphore: a
+	// throttled tenant waits (or is rejected) without holding a
+	// dispatch slot the other tenants could use.
+	if err := s.admit(reqCtx, req); err != nil {
+		if p != nil {
+			p.dispatchReq(req)
+		}
+		s.reply(reqCtx, w, req, &reply{ID: req.ID, Errno: fserr.Errno(err)}, j.queuedNs)
+		putBuf(req.frame)
+		return
+	}
+	sem <- struct{}{}
+	defer func() { <-sem }()
+	if p != nil {
+		p.dispatchReq(req)
+	}
+	var rep *reply
+	if err := reqCtx.Err(); err != nil {
+		// Admission check: the deadline expired (or the connection
+		// died) while the request sat in the queue. Reject it here,
+		// before it can hold any inode lock.
+		rep = &reply{ID: req.ID, Errno: fserr.Errno(err)}
+	} else {
+		rep = s.handle(reqCtx, req)
+	}
+	// The handler is done with the request's payload; the reply
+	// owns only pooled buffers of its own.
+	putBuf(req.frame)
+	req.frame = nil
+	s.reply(reqCtx, w, req, rep, j.queuedNs)
 }
 
 // reply encodes rep and enqueues it on the connection writer, recording

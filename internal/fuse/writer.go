@@ -139,6 +139,11 @@ func (w *frameWriter) stop() {
 // write.
 func (w *frameWriter) loop() {
 	defer w.wg.Done()
+	// vec backs every flush's vector list. net.Buffers.WriteTo consumes the
+	// slice it writes, so reslicing one shared slice would leave a backing
+	// array that shrinks after each flush and is reallocated by append;
+	// reslicing a fixed array never allocates.
+	var vec [2 * maxBatchFrames][]byte
 	var bufs net.Buffers
 	var batch [maxBatchFrames]outFrame
 	for {
@@ -170,7 +175,7 @@ func (w *frameWriter) loop() {
 				}
 			}
 		}
-		bufs = bufs[:0]
+		bufs = vec[:0]
 		total := 0
 		for i := 0; i < n; i++ {
 			bufs = append(bufs, batch[i].hdr)
@@ -180,9 +185,14 @@ func (w *frameWriter) loop() {
 				total += len(batch[i].payload)
 			}
 		}
+		nvec := len(bufs)
 		_, err := bufs.WriteTo(w.conn)
+		// Clear the flushed vectors and frames so neither pins a pooled
+		// payload until the slot is reused.
+		clear(vec[:nvec])
 		for i := 0; i < n; i++ {
 			batch[i].done()
+			batch[i] = outFrame{}
 		}
 		if err != nil {
 			// The connection is broken: stop accepting, release stragglers.
